@@ -32,8 +32,12 @@ vet:
 test:
 	$(GO) test ./...
 
+# The determinism tests also run at several GOMAXPROCS values, so the
+# worker-count and journal claims are exercised on every host rather than
+# only where the core count happens to differ from the reference.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -cpu 1,2,4 -run 'Determinism|Parity|Parallel' ./internal/deg ./internal/dse
 
 cover:
 	@set -e; \

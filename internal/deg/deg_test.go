@@ -45,7 +45,8 @@ func TestBuildProducesDAGForwardEdges(t *testing.T) {
 		if e.Delay < 0 {
 			t.Fatalf("backward edge %v", e)
 		}
-		if !orderLess(g.order(e.From), g.order(e.To)) {
+		from, to := anchor{t: g.time(e.From), v: e.From}, anchor{t: g.time(e.To), v: e.To}
+		if compareAnchors(from, to) >= 0 {
 			t.Fatalf("edge violates topological key: %v -> %v", e.From, e.To)
 		}
 		if e.Cost != 0 && e.Kind != EdgeResource && e.Kind != EdgeFU && e.Kind != EdgeMispredict {

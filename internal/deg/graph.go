@@ -28,9 +28,10 @@
 package deg
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"archexplorer/internal/pipetrace"
 	"archexplorer/internal/uarch"
@@ -109,9 +110,13 @@ type Graph struct {
 	// graphs have base 0.
 	base int
 
-	// in[v] lists indices into Edges of v's incoming edges; indexed
-	// densely by VertexID.
-	in [][]int32
+	// flags holds one byte of flag bits (flagTouched, ...) per dense
+	// VertexID; its length is the graph's vertex-ID space.
+	flags []uint8
+	// Incoming-edge index in compressed sparse row form: v's incoming
+	// edges are Edges[inIdx[inOff[v]:inOff[v+1]]], in Edges order.
+	inOff []int32
+	inIdx []int32
 
 	// Statistics.
 	NumVertices int
@@ -142,22 +147,6 @@ func (g *Graph) time(v VertexID) int64 {
 	return g.Trace.Records[g.base+v.Seq()].Stamp[v.Stage()]
 }
 
-// order is the topological sort key: edges always go forward in
-// (time, seq, stage) lexicographic order.
-func (g *Graph) order(v VertexID) [3]int64 {
-	return [3]int64{g.time(v), int64(v.Seq()), int64(v.Stage())}
-}
-
-func orderLess(a, b [3]int64) bool {
-	if a[0] != b[0] {
-		return a[0] < b[0]
-	}
-	if a[1] != b[1] {
-		return a[1] < b[1]
-	}
-	return a[2] < b[2]
-}
-
 // Options tunes graph construction.
 type Options struct {
 	// MaxVirtualScan bounds the candidate scan for virtual-edge rules.
@@ -165,36 +154,47 @@ type Options struct {
 	MaxVirtualScan int
 }
 
+// Per-vertex flags of a build.
+const (
+	flagTouched uint8 = 1 << iota // endpoint of at least one edge
+	flagStart                     // start of a skewed edge: a virtual-edge target
+	flagEnd                       // end of a skewed edge
+)
+
 // anchor is one endpoint of a skewed edge — a participant in the induced
-// DEG's virtual-edge rules.
+// DEG's virtual-edge rules — with its stamp and instruction sequence.
 type anchor struct {
-	v     VertexID
-	ord   [3]int64
-	start bool // true for skewed-edge start vertices (virtual targets)
+	t   int64
+	v   VertexID
+	seq int32
 }
 
-// vkey dedups virtual edges; akey dedups skewed-edge anchors.
-type vkey struct{ f, t VertexID }
-type akey struct {
-	v     VertexID
-	start bool
+// compareAnchors orders anchors by (time, VertexID), which is the
+// (time, seq, stage) topological order because a VertexID is
+// seq*NumStages+stage.
+func compareAnchors(a, b anchor) int {
+	if c := cmp.Compare(a.t, b.t); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.v, b.v)
 }
 
-// Build constructs the induced DEG from a pipeline trace.
+// Build constructs the induced DEG from a pipeline trace. The graph owns
+// its storage.
 func Build(tr *pipetrace.Trace, opts Options) (*Graph, error) {
 	g := &Graph{}
-	if err := buildInto(g, tr, opts, 0, len(tr.Records), nil); err != nil {
+	if err := buildInto(g, tr, opts, 0, len(tr.Records), new(buffers)); err != nil {
 		return nil, err
 	}
 	return g, nil
 }
 
 // buildInto constructs the induced DEG over records [base, end) into the
-// zeroed graph g, with vertex IDs local to base. When b is non-nil the
-// graph's slices and scratch maps come from the (pooled) buffers so
-// repeated builds reuse their allocations; such a graph is only valid until
-// the buffers' next build. Dependence annotations reaching back before base
-// are clipped and counted (whole-trace builds pass base 0 and never clip).
+// zeroed graph g, with vertex IDs local to base. The graph's slices come
+// from b, so repeated builds reuse their allocations and the graph is only
+// valid until b's next build. Dependence annotations reaching back before
+// base are clipped and counted (whole-trace builds pass base 0 and never
+// clip).
 func buildInto(g *Graph, tr *pipetrace.Trace, opts Options, base, end int, b *buffers) error {
 	nRecs := end - base
 	if nRecs <= 0 {
@@ -211,6 +211,7 @@ func buildInto(g *Graph, tr *pipetrace.Trace, opts Options, base, end int, b *bu
 	}
 	g.Trace = tr
 	g.base = base
+	recs := tr.Records[base:end]
 
 	// Producer annotations are global sequence numbers; records sit at
 	// index Seq - seq0 in tr.Records. Batch traces have seq0 == 0 (index
@@ -218,52 +219,95 @@ func buildInto(g *Graph, tr *pipetrace.Trace, opts Options, base, end int, b *bu
 	// at whatever sequence is still retained.
 	seq0 := tr.Records[0].Seq
 
-	// Skewed-edge anchor bookkeeping for the induced DEG, deduped by
-	// (vertex, start): a vertex shared by several skewed edges used to push
-	// one anchor per edge, repeating identical Rule 1/Rule 2 scans and
-	// crowding the bounded Rule-2 candidate window with duplicates.
-	var anchors []anchor
-	var aseen map[akey]bool
-	if b != nil {
-		g.Edges = b.edges[:0]
-		anchors = b.anchors[:0]
-		aseen = b.aseen
-		clear(aseen)
-	} else {
-		aseen = make(map[akey]bool)
+	// Reserve the edge list up front: each pipeline hop and dependence
+	// annotation adds at most one edge, and the virtual edges stay under
+	// two per skewed edge in practice (append absorbs any excess). A fresh
+	// build then allocates its edges once instead of growing them.
+	bound := 0
+	for i := range recs {
+		r := &recs[i]
+		skewed := len(r.ResourceDeps) + len(r.DataProducers)
+		for _, p := range [...]int{r.FUProducer, r.PortProducer, r.MispredictFrom} {
+			if p >= 0 {
+				skewed++
+			}
+		}
+		bound += pipetrace.NumStages - 1 + 3*skewed
+	}
+	g.Edges = slices.Grow(b.edges[:0], bound)
+
+	total := nRecs * pipetrace.NumStages
+	b.flags = grow(b.flags, total)
+	clear(b.flags)
+	g.flags = b.flags
+	// inOff counts in-degrees until the edges are complete, then becomes
+	// the CSR offsets.
+	b.inOff = grow(b.inOff, total+1)
+	clear(b.inOff)
+	g.inOff = b.inOff
+	// Skewed-edge anchors for the induced DEG, one per vertex in order of
+	// first appearance, and the virtual-edge targets among them. The
+	// start/end flags dedup them: a vertex shared by several skewed edges
+	// contributes one anchor, not one per edge.
+	anchors, targets := b.anchors[:0], b.targets[:0]
+
+	touch := func(v VertexID) {
+		if g.flags[v]&flagTouched == 0 {
+			g.flags[v] |= flagTouched
+			g.NumVertices++
+		}
+	}
+	push := func(e Edge) {
+		g.Edges = append(g.Edges, e)
+		g.EdgesByKind[e.Kind]++
+		g.inOff[e.To]++
 	}
 
-	addEdge := func(from, to VertexID, kind EdgeKind, res uarch.Resource) {
-		df, dt := g.time(from), g.time(to)
+	// addEdge adds the edge between the local (sequence, stage) endpoints
+	// and returns their stamps, or ok=false when it was dropped.
+	addEdge := func(fs int, fst pipetrace.Stage, ts int, tst pipetrace.Stage, kind EdgeKind, res uarch.Resource) (df, dt int64, ok bool) {
+		df, dt = recs[fs].Stamp[fst], recs[ts].Stamp[tst]
 		if df == pipetrace.NoStamp || dt == pipetrace.NoStamp {
 			g.DroppedNoStamp++
-			return
+			return 0, 0, false
 		}
 		delay := dt - df
 		if delay < 0 {
 			g.DroppedBackward++
-			return // defensive: never create a backward edge
+			return 0, 0, false // defensive: never create a backward edge
 		}
 		var cost int64
 		if kind == EdgeResource || kind == EdgeFU || kind == EdgeMispredict {
 			cost = delay
 		}
-		g.Edges = append(g.Edges, Edge{From: from, To: to, Kind: kind, Res: res, Delay: delay, Cost: cost})
+		from, to := Vertex(fs, fst), Vertex(ts, tst)
+		push(Edge{From: from, To: to, Kind: kind, Res: res, Delay: delay, Cost: cost})
+		touch(from)
+		touch(to)
+		return df, dt, true
 	}
 
-	addSkewed := func(from, to VertexID, kind EdgeKind, res uarch.Resource) {
-		n := len(g.Edges)
-		addEdge(from, to, kind, res)
-		if len(g.Edges) == n {
+	addAnchor := func(seq int, st pipetrace.Stage, t int64, flag uint8) {
+		v := Vertex(seq, st)
+		f := g.flags[v]
+		if f&flag != 0 {
 			return
 		}
-		if k := (akey{from, true}); !aseen[k] {
-			aseen[k] = true
-			anchors = append(anchors, anchor{v: from, ord: g.order(from), start: true})
+		g.flags[v] = f | flag
+		g.SkewedAnchors++
+		a := anchor{t: t, v: v, seq: int32(seq)}
+		if f&(flagStart|flagEnd) == 0 {
+			anchors = append(anchors, a)
 		}
-		if k := (akey{to, false}); !aseen[k] {
-			aseen[k] = true
-			anchors = append(anchors, anchor{v: to, ord: g.order(to), start: false})
+		if flag == flagStart {
+			targets = append(targets, a)
+		}
+	}
+
+	addSkewed := func(fs int, fst pipetrace.Stage, ts int, tst pipetrace.Stage, kind EdgeKind, res uarch.Resource) {
+		if df, dt, ok := addEdge(fs, fst, ts, tst, kind, res); ok {
+			addAnchor(fs, fst, df, flagStart)
+			addAnchor(ts, tst, dt, flagEnd)
 		}
 	}
 
@@ -279,8 +323,8 @@ func buildInto(g *Graph, tr *pipetrace.Trace, opts Options, base, end int, b *bu
 	}
 	toLocal := func(producer int) int { return producer - seq0 - base }
 
-	for i := 0; i < nRecs; i++ {
-		rec := &tr.Records[base+i]
+	for i := range recs {
+		rec := &recs[i]
 		// Horizontal pipeline chain. Attribution of base latencies: the
 		// I$ response edge attributes to ICache and the load access edge
 		// to DCache; remaining hops are unattributed pipeline progress.
@@ -308,7 +352,7 @@ func buildInto(g *Graph, tr *pipetrace.Trace, opts Options, base, end int, b *bu
 				// front-end width/buffer pressure.
 				res = uarch.ResFrontend
 			}
-			addEdge(Vertex(i, prev), Vertex(i, s), EdgePipeline, res)
+			addEdge(i, prev, i, s, EdgePipeline, res)
 			prev = s
 		}
 
@@ -317,128 +361,99 @@ func buildInto(g *Graph, tr *pipetrace.Trace, opts Options, base, end int, b *bu
 			if clip(rd.Producer) {
 				continue
 			}
-			addSkewed(Vertex(toLocal(rd.Producer), pipetrace.SR), Vertex(i, pipetrace.SR), EdgeResource, rd.Resource)
+			addSkewed(toLocal(rd.Producer), pipetrace.SR, i, pipetrace.SR, EdgeResource, rd.Resource)
 		}
 		// Functional unit and port contention (issue to issue).
 		if rec.FUProducer >= 0 && !clip(rec.FUProducer) {
-			addSkewed(Vertex(toLocal(rec.FUProducer), pipetrace.SI), Vertex(i, pipetrace.SI), EdgeFU, rec.FURes)
+			addSkewed(toLocal(rec.FUProducer), pipetrace.SI, i, pipetrace.SI, EdgeFU, rec.FURes)
 		}
 		if rec.PortProducer >= 0 && !clip(rec.PortProducer) {
-			addSkewed(Vertex(toLocal(rec.PortProducer), pipetrace.SI), Vertex(i, pipetrace.SI), EdgeFU, uarch.ResRdWrPort)
+			addSkewed(toLocal(rec.PortProducer), pipetrace.SI, i, pipetrace.SI, EdgeFU, uarch.ResRdWrPort)
 		}
 		// True data dependence.
 		for _, p := range rec.DataProducers {
 			if clip(p) {
 				continue
 			}
-			addSkewed(Vertex(toLocal(p), pipetrace.SI), Vertex(i, pipetrace.SI), EdgeData, uarch.ResRawDep)
+			addSkewed(toLocal(p), pipetrace.SI, i, pipetrace.SI, EdgeData, uarch.ResRawDep)
 		}
 		// Misprediction dependence.
 		if rec.MispredictFrom >= 0 && !clip(rec.MispredictFrom) {
-			addSkewed(Vertex(toLocal(rec.MispredictFrom), pipetrace.SP), Vertex(i, pipetrace.SF1), EdgeMispredict, uarch.ResBranchPred)
+			addSkewed(toLocal(rec.MispredictFrom), pipetrace.SP, i, pipetrace.SF1, EdgeMispredict, uarch.ResBranchPred)
 		}
 	}
 
 	// Induced DEG: virtual edges. Candidate targets are skewed-edge start
 	// vertices; every anchor connects to (Rule 1) the target whose time is
 	// closest after its own, and (Rule 2) the target whose instruction
-	// sequence is closest after its own.
-	var targets []anchor
-	if b != nil {
-		targets = b.targets[:0]
+	// sequence is closest after its own. Targets come strictly after the
+	// anchor in topological order, so no virtual edge is a self-loop or
+	// runs backward, and one anchor per vertex emits each edge once: a
+	// vertex's start and end anchors share one order and so one pair of
+	// targets.
+	slices.SortFunc(targets, compareAnchors)
+	addVirtual := func(a, t anchor) {
+		push(Edge{From: a.v, To: t.v, Kind: EdgeVirtual, Res: uarch.ResNone, Delay: t.t - a.t})
 	}
 	for _, a := range anchors {
-		if a.start {
-			targets = append(targets, a)
-		}
-	}
-	sort.Slice(targets, func(i, j int) bool { return orderLess(targets[i].ord, targets[j].ord) })
-	g.SkewedAnchors = len(anchors)
-
-	// Dedup helper for virtual edges.
-	var seen map[vkey]bool
-	if b != nil {
-		seen = b.vseen
-		clear(seen)
-	} else {
-		seen = make(map[vkey]bool)
-	}
-	addVirtual := func(from, to VertexID) {
-		if from == to {
-			return
-		}
-		k := vkey{from, to}
-		if seen[k] {
-			return
-		}
-		seen[k] = true
-		addEdge(from, to, EdgeVirtual, uarch.ResNone)
-	}
-
-	for _, a := range anchors {
-		// Rule 1: binary search targets by order; first strictly greater.
-		lo := sort.Search(len(targets), func(i int) bool {
-			return orderLess(a.ord, targets[i].ord)
-		})
-		if lo < len(targets) {
-			best := targets[lo]
-			addVirtual(a.v, best.v)
-			// Rule 2: among the next few targets, closest sequence.
-			bestSeq := best
-			bestDist := seqDist(a.v, best.v)
-			hi := lo + opts.MaxVirtualScan
-			if hi > len(targets) {
-				hi = len(targets)
+		// Rule 1: binary search for the first target strictly after a.
+		lo, hi := 0, len(targets)
+		for lo < hi {
+			m := int(uint(lo+hi) >> 1)
+			if compareAnchors(a, targets[m]) < 0 {
+				hi = m
+			} else {
+				lo = m + 1
 			}
-			for _, t := range targets[lo:hi] {
-				if d := seqDist(a.v, t.v); d < bestDist {
-					bestSeq, bestDist = t, d
-				}
+		}
+		if lo == len(targets) {
+			continue
+		}
+		best := targets[lo]
+		addVirtual(a, best)
+		// Rule 2: among the next few targets, closest sequence.
+		bestSeq, bestDist := best, seqDist(a.seq, best.seq)
+		for _, t := range targets[lo+1 : min(lo+opts.MaxVirtualScan, len(targets))] {
+			if d := seqDist(a.seq, t.seq); d < bestDist {
+				bestSeq, bestDist = t, d
 			}
-			if bestSeq.v != best.v {
-				addVirtual(a.v, bestSeq.v)
-			}
+		}
+		if bestSeq.v != best.v {
+			addVirtual(a, bestSeq)
 		}
 	}
 
-	// Index incoming edges and tally statistics.
-	total := nRecs * pipetrace.NumStages
-	var touched []bool
-	if b != nil {
-		g.in = b.ensureIn(total)
-		touched = b.ensureTouched(total)
-	} else {
-		g.in = make([][]int32, total)
-		touched = make([]bool, total)
+	// Turn the in-degree counts into CSR offsets: an inclusive prefix sum
+	// leaves inOff[v] at the end of v's run, and scattering the edges in
+	// reverse walks it back to the start while keeping each run in Edges
+	// order — the order the DP's tie-breaking depends on.
+	var sum int32
+	for v := 0; v < total; v++ {
+		sum += g.inOff[v]
+		g.inOff[v] = sum
 	}
-	for i := range g.Edges {
-		e := &g.Edges[i]
-		g.in[e.To] = append(g.in[e.To], int32(i))
-		g.EdgesByKind[e.Kind]++
-		touched[e.From] = true
-		touched[e.To] = true
+	g.inOff[total] = sum
+	b.inIdx = grow(b.inIdx, len(g.Edges))
+	g.inIdx = b.inIdx
+	for i := len(g.Edges) - 1; i >= 0; i-- {
+		to := g.Edges[i].To
+		g.inOff[to]--
+		g.inIdx[g.inOff[to]] = int32(i)
 	}
-	for _, t := range touched {
-		if t {
-			g.NumVertices++
-		}
-	}
-	if b != nil {
-		// Hand the (possibly reallocated) slices back so the next build
-		// reuses their grown capacity.
-		b.edges = g.Edges
-		b.anchors = anchors
-		b.targets = targets
-	}
+
+	// Hand the (possibly reallocated) slices back so the next build reuses
+	// their grown capacity.
+	b.edges = g.Edges
+	b.anchors = anchors
+	b.targets = targets
 	return nil
 }
 
-func seqDist(a, b VertexID) int {
-	d := a.Seq() - b.Seq()
-	if d < 0 {
-		d = -d
+func seqDist(a, b int32) int32 {
+	if a > b {
+		return a - b
 	}
-	return d
+	return b - a
 }
 
 // NumEdges returns the total edge count.

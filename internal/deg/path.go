@@ -2,6 +2,7 @@ package deg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"archexplorer/internal/pipetrace"
@@ -22,50 +23,65 @@ type CriticalPath struct {
 	Span int64
 }
 
-// topoSort orders verts by (time, VertexID), which equals the
-// (time, seq, stage) topological order because a VertexID is
-// seq*NumStages+stage. The common case packs both into one uint64 key —
-// time in the upper 32 bits, vertex in the lower — so the sort comparator
-// stays branch-cheap; that packing is exact while every stamp fits in 32
-// bits (VertexID is int32, so the low half always fits). Stamps at or past
-// 1<<32 cycles fall back to an explicit two-key comparison instead of
-// silently corrupting the order — the bug the old 24-bit packing had for
-// traces beyond ~2M records.
-func topoSort(verts []VertexID, time func(VertexID) int64) {
-	topoSortInto(verts, time, nil)
-}
+// countSortSpan bounds the counting sort's time range in units of the
+// vertex count; wider ranges sort packed keys instead.
+const countSortSpan = 4
 
-// topoSortInto is topoSort with a reusable key buffer (the windowed
-// analyzer pools it); it returns the buffer so grown capacity survives.
-func topoSortInto(verts []VertexID, time func(VertexID) int64, keys []uint64) []uint64 {
-	var maxTime int64
-	for _, v := range verts {
-		if t := time(v); t > maxTime {
-			maxTime = t
-		}
+// topoOrder returns verts — ascending VertexIDs, stamped times[i] — in
+// (time, VertexID) order, which equals the (time, seq, stage) topological
+// order because a VertexID is seq*NumStages+stage. A stable counting sort
+// on the stamp, offset by the minimum, yields that order in
+// O(V + time range): equal stamps keep their ascending-ID input order.
+// Time ranges wider than countSortSpan·V sort (time offset, vertex) keys
+// packed into one uint64, and ranges of 1<<32 cycles or more — where the
+// packing would overflow — compare the two keys explicitly. The result
+// lives in b.
+func topoOrder(verts []VertexID, times []int64, b *buffers) []VertexID {
+	minT, maxT := times[0], times[0]
+	for _, t := range times {
+		minT, maxT = min(minT, t), max(maxT, t)
 	}
-	if maxTime < 1<<32 {
-		if cap(keys) < len(verts) {
-			keys = make([]uint64, len(verts))
+	b.order = grow(b.order, len(verts))
+	out := b.order
+	switch span := uint64(maxT - minT); {
+	case span < countSortSpan*uint64(len(verts)):
+		b.count = grow(b.count, int(span)+1)
+		count := b.count
+		clear(count)
+		for _, t := range times {
+			count[t-minT]++
 		}
-		keys = keys[:len(verts)]
+		var sum int32
+		for i, c := range count {
+			count[i] = sum
+			sum += c
+		}
 		for i, v := range verts {
-			keys[i] = uint64(time(v))<<32 | uint64(uint32(v))
+			k := times[i] - minT
+			out[count[k]] = v
+			count[k]++
 		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	case span < 1<<32:
+		b.keys = grow(b.keys, len(verts))
+		keys := b.keys
+		for i, v := range verts {
+			keys[i] = uint64(times[i]-minT)<<32 | uint64(uint32(v))
+		}
+		slices.Sort(keys)
 		for i, k := range keys {
-			verts[i] = VertexID(uint32(k))
+			out[i] = VertexID(uint32(k))
 		}
-		return keys
+	default:
+		pairs := make([]anchor, len(verts))
+		for i, v := range verts {
+			pairs[i] = anchor{t: times[i], v: v}
+		}
+		slices.SortFunc(pairs, compareAnchors)
+		for i, p := range pairs {
+			out[i] = p.v
+		}
 	}
-	sort.Slice(verts, func(i, j int) bool {
-		ti, tj := time(verts[i]), time(verts[j])
-		if ti != tj {
-			return ti < tj
-		}
-		return verts[i] < verts[j]
-	})
-	return keys
+	return out
 }
 
 // Construct runs Algorithm 1 (dynamic-programming longest path in
@@ -73,72 +89,50 @@ func topoSortInto(verts []VertexID, time func(VertexID) int64, keys []uint64) []
 // (line 8 of the paper's pseudocode acts as a virtual super-source); the
 // path is reconstructed backwards from the maximum-cost vertex, which acts
 // as the virtual super-sink. Runtime not covered by the path telescopes
-// into the report's Base share.
+// into the report's Base share. The path owns its storage.
 func (g *Graph) Construct() (*CriticalPath, error) {
-	return g.constructInto(nil)
+	return g.constructInto(new(buffers))
 }
 
-// constructInto is Construct with pooled scratch arrays: when b is non-nil
-// the topological order, DP tables, and the reconstructed path all live in
-// the buffers, so the returned path is only valid until the buffers' next
-// use. The d/parent tables need no reinitialisation between uses — every
-// sorted vertex's entry is written before any read.
+// constructInto is Construct on b's scratch arrays: the topological order,
+// the DP tables and the reconstructed path all live in b, so the returned
+// path is only valid until b's next use. The d/parent tables need no
+// reinitialisation between uses — every sorted vertex's entry is written
+// before any read.
 func (g *Graph) constructInto(b *buffers) (*CriticalPath, error) {
 	if len(g.Edges) == 0 {
 		return nil, fmt.Errorf("deg: graph has no edges")
 	}
 
-	// Topological order: (time, seq, stage) is valid by construction.
-	// len(g.in) is the dense vertex-ID space of this (possibly windowed)
-	// graph.
-	total := len(g.in)
-	var present []bool
-	var d []int64
-	var parent []int32 // incoming edge index, -1 none
-	var verts []VertexID
-	if b != nil {
-		present = b.ensurePresent(total)
-		d = b.ensureD(total)
-		parent = b.ensureParent(total)
-		verts = b.verts[:0]
-	} else {
-		present = make([]bool, total)
-		d = make([]int64, total)
-		parent = make([]int32, total)
-	}
-	nVerts := 0
-	for i := range g.Edges {
-		for _, v := range [2]VertexID{g.Edges[i].From, g.Edges[i].To} {
-			if !present[v] {
-				present[v] = true
-				nVerts++
+	// Gather the vertices in ascending ID order with their stamps, walking
+	// records and stages so no ID is divided back apart. len(g.flags) is
+	// the dense vertex-ID space of this (possibly windowed) graph.
+	total := len(g.flags)
+	verts := slices.Grow(b.verts[:0], g.NumVertices)
+	times := slices.Grow(b.times[:0], g.NumVertices)
+	recs := g.Trace.Records[g.base:]
+	for seq := 0; seq < total/pipetrace.NumStages; seq++ {
+		v0 := seq * pipetrace.NumStages
+		stamps := &recs[seq].Stamp
+		for st, f := range g.flags[v0 : v0+pipetrace.NumStages] {
+			if f&flagTouched != 0 {
+				verts = append(verts, VertexID(v0+st))
+				times = append(times, stamps[st])
 			}
 		}
 	}
-	if b == nil {
-		verts = make([]VertexID, 0, nVerts)
-	}
-	for v := 0; v < total; v++ {
-		if present[v] {
-			verts = append(verts, VertexID(v))
-		}
-	}
-	var keys []uint64
-	if b != nil {
-		keys = b.keys
-	}
-	keys = topoSortInto(verts, g.time, keys)
-	if b != nil {
-		b.keys = keys
-		b.verts = verts
-	}
+	b.verts, b.times = verts, times
+	order := topoOrder(verts, times, b)
 
+	b.d = grow(b.d, total)
+	b.parent = grow(b.parent, total)
+	d, parent := b.d, b.parent // parent: incoming edge index, -1 none
 	var bestV VertexID
 	var bestD int64 = -1
-	for _, v := range verts {
+	for _, v := range order {
 		var dv int64
 		pe := int32(-1)
-		for _, ei := range g.in[v] {
+		for _, ei := range g.inIdx[g.inOff[v]:g.inOff[v+1]] {
 			e := &g.Edges[ei]
 			cand := d[e.From] + e.Cost
 			if cand > dv || (cand == dv && pe < 0) {
@@ -154,12 +148,7 @@ func (g *Graph) constructInto(b *buffers) (*CriticalPath, error) {
 	}
 
 	// Reconstruct backwards from the super-sink.
-	var redges []Edge
-	var rverts []VertexID
-	if b != nil {
-		redges = b.redges[:0]
-		rverts = b.rverts[:0]
-	}
+	redges, rverts := b.redges[:0], b.rverts[:0]
 	v := bestV
 	for {
 		rverts = append(rverts, v)
@@ -170,17 +159,10 @@ func (g *Graph) constructInto(b *buffers) (*CriticalPath, error) {
 		redges = append(redges, g.Edges[pe])
 		v = g.Edges[pe].From
 	}
-	if b != nil {
-		b.redges = redges
-		b.rverts = rverts
-	}
+	b.redges, b.rverts = redges, rverts
 	// Reverse into execution order.
-	for i, j := 0, len(rverts)-1; i < j; i, j = i+1, j-1 {
-		rverts[i], rverts[j] = rverts[j], rverts[i]
-	}
-	for i, j := 0, len(redges)-1; i < j; i, j = i+1, j-1 {
-		redges[i], redges[j] = redges[j], redges[i]
-	}
+	slices.Reverse(rverts)
+	slices.Reverse(redges)
 
 	cp := &CriticalPath{Vertices: rverts, Edges: redges, Cost: bestD}
 	if len(rverts) > 0 {

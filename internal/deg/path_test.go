@@ -1,13 +1,15 @@
 package deg
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
 	"archexplorer/internal/uarch"
 )
 
-// refSort is the explicit (time, VertexID) comparison topoSort must match.
+// refSort is the explicit (time, VertexID) comparison topoOrder must match.
 func refSort(verts []VertexID, time func(VertexID) int64) []VertexID {
 	out := append([]VertexID(nil), verts...)
 	sort.Slice(out, func(i, j int) bool {
@@ -20,6 +22,20 @@ func refSort(verts []VertexID, time func(VertexID) int64) []VertexID {
 	return out
 }
 
+// topoSort runs topoOrder the way constructInto feeds it — vertices in
+// ascending ID order with their stamps — on fresh buffers, which it
+// returns so callers can tell which sort ran.
+func topoSort(verts []VertexID, time func(VertexID) int64) ([]VertexID, *buffers) {
+	in := slices.Clone(verts)
+	slices.Sort(in)
+	times := make([]int64, len(in))
+	for i, v := range in {
+		times[i] = time(v)
+	}
+	b := new(buffers)
+	return topoOrder(in, times, b), b
+}
+
 // xorshift is a tiny deterministic PRNG for synthetic vertex sets.
 type xorshift uint64
 
@@ -28,6 +44,75 @@ func (x *xorshift) next() uint64 {
 	*x ^= *x >> 7
 	*x ^= *x << 17
 	return uint64(*x)
+}
+
+func checkOrder(t *testing.T, got, want []VertexID, time func(VertexID) int64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("order has %d vertices, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("order diverges at %d: got v=%d t=%d, want v=%d t=%d",
+				i, got[i], time(got[i]), want[i], time(want[i]))
+		}
+	}
+}
+
+// TestTopoOrderMatchesReference is the property test of the topological
+// order: on random vertex sets it must equal the reference (time,
+// VertexID) sort in every regime — narrow time ranges and many equal
+// stamps (counting sort), ranges wide enough to take the packed-key
+// fallback, and stamps at or past 1<<32 on both a narrow range (counting
+// sort, offset by the minimum) and a range too wide to pack (explicit
+// comparison). The last regime is the one the old 24-bit packing got
+// wrong.
+func TestTopoOrderMatchesReference(t *testing.T) {
+	const (
+		counting = iota
+		packed
+		explicit
+	)
+	cases := []struct {
+		name   string
+		stamp  func(rng *xorshift, n int) int64
+		regime int
+	}{
+		{"narrow", func(r *xorshift, n int) int64 { return 1000 + int64(r.next()%uint64(n/2+1)) }, counting},
+		{"equal-stamps", func(r *xorshift, n int) int64 { return 7 + int64(r.next()%2) }, counting},
+		{"wide", func(r *xorshift, n int) int64 { return int64(r.next() % uint64(1000*n)) }, packed},
+		{"past-32-bits-narrow", func(r *xorshift, n int) int64 { return 1<<32 + int64(r.next()%5) }, counting},
+		{"past-32-bits-wide", func(r *xorshift, n int) int64 { return int64(r.next() % (1 << 40)) }, explicit},
+	}
+	rng := xorshift(2024)
+	for _, tc := range cases {
+		for _, n := range []int{1, 2, 17, 500, 4096} {
+			t.Run(fmt.Sprintf("%s/n%d", tc.name, n), func(t *testing.T) {
+				times := make(map[VertexID]int64, n)
+				verts := make([]VertexID, 0, n)
+				for len(verts) < n {
+					v := VertexID(rng.next() % (1 << 30))
+					if _, dup := times[v]; dup {
+						continue
+					}
+					times[v] = tc.stamp(&rng, n)
+					verts = append(verts, v)
+				}
+				timeOf := func(v VertexID) int64 { return times[v] }
+				got, b := topoSort(verts, timeOf)
+				checkOrder(t, got, refSort(verts, timeOf), timeOf)
+				if n < 17 {
+					return // tiny sets may land in any regime
+				}
+				switch {
+				case tc.regime == counting && len(b.count) == 0,
+					tc.regime == packed && len(b.keys) == 0,
+					tc.regime == explicit && (len(b.count) != 0 || len(b.keys) != 0):
+					t.Fatalf("regime %d not taken (count %d, keys %d)", tc.regime, len(b.count), len(b.keys))
+				}
+			})
+		}
+	}
 }
 
 // TestTopoSortBeyond24Bits is the regression test for the old packing
@@ -56,19 +141,13 @@ func TestTopoSortBeyond24Bits(t *testing.T) {
 	}
 	timeOf := func(v VertexID) int64 { return times[v] }
 
-	want := refSort(verts, timeOf)
-	topoSort(verts, timeOf)
-	for i := range verts {
-		if verts[i] != want[i] {
-			t.Fatalf("order diverges at %d: got v=%d t=%d, want v=%d t=%d",
-				i, verts[i], timeOf(verts[i]), want[i], timeOf(want[i]))
-		}
-	}
+	got, _ := topoSort(verts, timeOf)
+	checkOrder(t, got, refSort(verts, timeOf), timeOf)
 }
 
-// TestTopoSortTimeOverflowFallback drives stamps past 1<<32, where the
-// packed key would overflow; topoSort must detect this and fall back to the
-// explicit comparison.
+// TestTopoSortTimeOverflowFallback drives stamps past 1<<32 across a range
+// too wide for the packed key; topoOrder must detect this and fall back to
+// the explicit comparison.
 func TestTopoSortTimeOverflowFallback(t *testing.T) {
 	const n = 512
 	rng := xorshift(99)
@@ -79,17 +158,16 @@ func TestTopoSortTimeOverflowFallback(t *testing.T) {
 		if _, dup := times[v]; dup {
 			continue
 		}
-		times[v] = int64(1<<32) + int64(rng.next()%5) // collides above the packing limit
+		// Colliding stamps at both ends of a range past the packing limit.
+		times[v] = int64(i%2)<<33 + int64(rng.next()%5)
 		verts = append(verts, v)
 	}
 	timeOf := func(v VertexID) int64 { return times[v] }
 
-	want := refSort(verts, timeOf)
-	topoSort(verts, timeOf)
-	for i := range verts {
-		if verts[i] != want[i] {
-			t.Fatalf("fallback order diverges at %d: got %d, want %d", i, verts[i], want[i])
-		}
+	got, b := topoSort(verts, timeOf)
+	checkOrder(t, got, refSort(verts, timeOf), timeOf)
+	if len(b.count) != 0 || len(b.keys) != 0 {
+		t.Fatal("a range past 1<<32 cycles must take the explicit comparison")
 	}
 }
 

@@ -404,25 +404,14 @@ func (s *StreamAnalyzer) Finish(cycles int64) (*Report, *WindowStats, error) {
 	if s.opts.Window <= 0 || s.opts.Window >= s.seen {
 		// Whole-trace short-circuit, mirroring AnalyzeWindowed: nothing
 		// was sealed (sealing needs Window+overlap buffered records), so
-		// the buffer still holds the entire trace and the batch analyzer
-		// runs over it unchanged.
+		// the buffer still holds the entire trace and the whole-trace
+		// kernel runs over it unchanged.
 		s.view.Records = s.buf
 		s.view.Cycles = cycles
-		rep, g, _, err := Analyze(&s.view, s.opts.Options)
+		rep, st, err := analyzeWhole(&s.view, s.opts.Options, s.b)
 		s.view.Records = nil
 		s.view.Cycles = 0
-		if err != nil {
-			return nil, nil, err
-		}
-		st := &WindowStats{
-			Windows:         1,
-			PeakEdges:       g.NumEdges(),
-			PeakVertices:    g.NumVertices,
-			DroppedNoStamp:  g.DroppedNoStamp,
-			DroppedBackward: g.DroppedBackward,
-			ClippedDeps:     g.ClippedDeps,
-		}
-		return rep, st, nil
+		return rep, st, err
 	}
 	if err := s.drain(true); err != nil {
 		s.stopWorkers()

@@ -136,83 +136,65 @@ type WindowStats struct {
 // Dropped is the total defensively dropped edge count across all windows.
 func (s *WindowStats) Dropped() int { return s.DroppedNoStamp + s.DroppedBackward }
 
-// buffers is the reusable scratch state for one windowed analysis: every
-// slice the graph build and the critical-path DP would otherwise allocate
-// per window. The d/parent tables carry stale values between windows by
-// design — constructInto writes every sorted vertex's entry before reading
-// it — while present/touched and the dedup maps are cleared each build.
+// buffers is the scratch state of one graph build and critical-path
+// construction: every slice either would otherwise allocate. Pooled
+// buffers serve one window after another; the d/parent tables carry stale
+// values between uses by design — constructInto writes every sorted
+// vertex's entry before reading it — while the flags and in-degree counts
+// are cleared each build.
 type buffers struct {
 	// Graph build.
 	edges   []Edge
 	anchors []anchor
 	targets []anchor
-	in      [][]int32
-	touched []bool
-	vseen   map[vkey]bool
-	aseen   map[akey]bool
+	flags   []uint8
+	inOff   []int32
+	inIdx   []int32
 
 	// Critical-path construction.
-	present []bool
-	d       []int64
-	parent  []int32
-	keys    []uint64
-	verts   []VertexID
-	rverts  []VertexID
-	redges  []Edge
+	verts  []VertexID
+	times  []int64
+	order  []VertexID
+	count  []int32
+	keys   []uint64
+	d      []int64
+	parent []int32
+	rverts []VertexID
+	redges []Edge
 }
 
-var bufPool = sync.Pool{
-	New: func() any {
-		return &buffers{
-			vseen: make(map[vkey]bool),
-			aseen: make(map[akey]bool),
-		}
-	},
+var bufPool = sync.Pool{New: func() any { return new(buffers) }}
+
+// grow returns s resized to n elements, reusing its capacity when it
+// suffices; the contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
-func (b *buffers) ensureIn(total int) [][]int32 {
-	if cap(b.in) < total {
-		b.in = append(b.in[:cap(b.in)], make([][]int32, total-cap(b.in))...)
+// analyzeWhole is the single-window kernel over the whole trace on b:
+// Analyze's report — including its fallback of L to the critical path's
+// span when the trace carries no cycle count — plus one window's stats.
+func analyzeWhole(tr *pipetrace.Trace, opts Options, b *buffers) (*Report, *WindowStats, error) {
+	var g Graph
+	if err := buildInto(&g, tr, opts, 0, len(tr.Records), b); err != nil {
+		return nil, nil, err
 	}
-	b.in = b.in[:total]
-	for i := range b.in {
-		b.in[i] = b.in[i][:0]
+	cp, err := g.constructInto(b)
+	if err != nil {
+		return nil, nil, err
 	}
-	return b.in
-}
-
-func (b *buffers) ensureTouched(total int) []bool {
-	if cap(b.touched) < total {
-		b.touched = make([]bool, total)
+	st := &WindowStats{
+		Windows:         1,
+		PeakEdges:       g.NumEdges(),
+		PeakVertices:    g.NumVertices,
+		DroppedNoStamp:  g.DroppedNoStamp,
+		DroppedBackward: g.DroppedBackward,
+		ClippedDeps:     g.ClippedDeps,
 	}
-	b.touched = b.touched[:total]
-	clear(b.touched)
-	return b.touched
-}
-
-func (b *buffers) ensurePresent(total int) []bool {
-	if cap(b.present) < total {
-		b.present = make([]bool, total)
-	}
-	b.present = b.present[:total]
-	clear(b.present)
-	return b.present
-}
-
-func (b *buffers) ensureD(total int) []int64 {
-	if cap(b.d) < total {
-		b.d = make([]int64, total)
-	}
-	b.d = b.d[:total]
-	return b.d
-}
-
-func (b *buffers) ensureParent(total int) []int32 {
-	if cap(b.parent) < total {
-		b.parent = make([]int32, total)
-	}
-	b.parent = b.parent[:total]
-	return b.parent
+	return Attribute(tr, cp), st, nil
 }
 
 // AnalyzeWindowed is the streaming counterpart of Analyze: it slices the
@@ -239,19 +221,9 @@ func AnalyzeWindowed(tr *pipetrace.Trace, opts WindowOptions) (*Report, *WindowS
 		return nil, nil, fmt.Errorf("deg: empty trace")
 	}
 	if opts.Window <= 0 || opts.Window >= n {
-		rep, g, _, err := Analyze(tr, opts.Options)
-		if err != nil {
-			return nil, nil, err
-		}
-		st := &WindowStats{
-			Windows:         1,
-			PeakEdges:       g.NumEdges(),
-			PeakVertices:    g.NumVertices,
-			DroppedNoStamp:  g.DroppedNoStamp,
-			DroppedBackward: g.DroppedBackward,
-			ClippedDeps:     g.ClippedDeps,
-		}
-		return rep, st, nil
+		b := bufPool.Get().(*buffers)
+		defer bufPool.Put(b)
+		return analyzeWhole(tr, opts.Options, b)
 	}
 	overlap, err := opts.effectiveOverlap()
 	if err != nil {

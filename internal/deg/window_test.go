@@ -206,6 +206,20 @@ func TestAttributeSpanFallback(t *testing.T) {
 			t.Fatalf("contribution %v exceeds 100%% under the span fallback", c)
 		}
 	}
+
+	// The whole-trace AnalyzeWindowed runs the single-window kernel, not
+	// Analyze; it must keep Analyze's definition (the path span), not
+	// switch to the multi-window fallback (the trace span).
+	if cp.Span == tr.Span() {
+		t.Fatalf("fixture path span equals the trace span %d; cannot tell the fallbacks apart", cp.Span)
+	}
+	wrep, _, err := AnalyzeWindowed(tr, WindowOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wrep.L != cp.Span {
+		t.Fatalf("whole-trace AnalyzeWindowed L=%d, want the path span %d (trace span %d)", wrep.L, cp.Span, tr.Span())
+	}
 }
 
 // TestAttributeClampsNegativeBase pins the other half of the bugfix: when

@@ -3,7 +3,6 @@ package dse
 import (
 	"bytes"
 	"reflect"
-	"regexp"
 	"testing"
 
 	"archexplorer/internal/obs"
@@ -32,21 +31,13 @@ func evalWithWorkers(t *testing.T, workers int, streamed bool) (*Evaluation, []b
 	return e, buf.Bytes()
 }
 
-// nsFields matches every wall-clock-valued journal field (they all end in
-// _ns) plus the RFC3339 "time" stamps — the only nondeterministic bytes a
-// journal may contain.
-var nsFields = regexp.MustCompile(`"[a-z_]+_ns":-?\d+|"time":"[^"]*"`)
-
-func scrubTimings(raw []byte) []byte {
-	return nsFields.ReplaceAll(raw, []byte(`"t":0`))
-}
-
 // TestEvaluatorDEGWorkersDeterminism pins the tentpole's end-to-end
 // guarantee at the evaluator level, for both the buffered and the streamed
 // DEG path: the worker count changes neither any deterministic evaluation
-// field nor a single journal byte (once wall-clock timings, the only
-// legitimately nondeterministic fields, are scrubbed). Telemetry may gauge
-// the worker count, but the journal event stream must be invariant.
+// field nor a single journal result byte (obs.CanonicalJournal drops the
+// measurements — timings and worker slots — which may legitimately vary).
+// Telemetry may gauge the worker count, but the journal event stream must
+// be invariant.
 func TestEvaluatorDEGWorkersDeterminism(t *testing.T) {
 	for _, streamed := range []bool{false, true} {
 		name := "buffered"
@@ -72,7 +63,7 @@ func TestEvaluatorDEGWorkersDeterminism(t *testing.T) {
 					parE.DEGWindows, parE.DEGPeakEdges, parE.DEGDrops)
 			}
 
-			seqJ, parJ := scrubTimings(seqRaw), scrubTimings(parRaw)
+			seqJ, parJ := obs.CanonicalJournal(seqRaw), obs.CanonicalJournal(parRaw)
 			if len(seqJ) == 0 {
 				t.Fatal("empty journal")
 			}

@@ -971,23 +971,20 @@ func (ev *Evaluator) simWorkload(cfg uarch.Config, wl workload.Profile, traceLen
 					rep, err := calipersReport(tr, cfg)
 					return degOutcome{rep: rep}, err
 				}
-				if ev.DEGWindow > 0 {
-					rep, ws, err := deg.AnalyzeWindowed(tr, deg.WindowOptions{
-						Window: ev.DEGWindow, Overlap: ev.DEGOverlap,
-						ReorderWindow: cfg.ROBEntries,
-						Workers:       ev.degWorkers(),
-					})
-					if err != nil {
-						return degOutcome{}, err
-					}
-					return degOutcome{rep: rep, windows: ws.Windows,
-						peakEdges: ws.PeakEdges, drops: int64(ws.Dropped())}, nil
-				}
-				rep, g, _, err := deg.Analyze(tr, deg.Options{})
+				// DEGWindow 0 analyzes the whole trace in one window.
+				rep, ws, err := deg.AnalyzeWindowed(tr, deg.WindowOptions{
+					Window: ev.DEGWindow, Overlap: ev.DEGOverlap,
+					ReorderWindow: cfg.ROBEntries,
+					Workers:       ev.degWorkers(),
+				})
 				if err != nil {
 					return degOutcome{}, err
 				}
-				return degOutcome{rep: rep, drops: int64(g.Dropped())}, nil
+				out := degOutcome{rep: rep, drops: int64(ws.Dropped())}
+				if ev.DEGWindow > 0 {
+					out.windows, out.peakEdges = ws.Windows, ws.PeakEdges
+				}
+				return out, nil
 			})
 		r.times.DEG = time.Since(t0)
 		endStage(r.times.DEG)

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"regexp"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,6 +62,29 @@ func (*SpanEvent) Kind() string { return "span" }
 
 // End returns the span's end offset.
 func (s *SpanEvent) End() int64 { return s.StartNS + s.DurNS }
+
+// measurementField matches one measurement in a journal line: every
+// duration or clock offset (the fields named *_ns, e.g. SpanEvent's
+// start_ns/dur_ns and EvalSpan's per-stage times), RunStart's wall-clock
+// "time" stamp, a stage span's "worker" slot (slots record which worker
+// happened to be free, so they depend on scheduling), and the wall-clock
+// derived gauges of RunEnd's metrics snapshot (rates named *_per_sec and
+// the archx_runtime_* self-profile samples). Every other journal field is
+// a result: deterministic for a given campaign at any parallelism or
+// worker count.
+var measurementField = func() *regexp.Regexp {
+	const num = `-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?`
+	field := `(?:"[a-z_]+_ns":` + num + `|"worker":\d+|"time":"[^"]*"` +
+		`|"[a-z_]+_per_sec":` + num + `|"archx_runtime_[a-z_]+":` + num + `)`
+	return regexp.MustCompile(`,` + field + `|` + field + `,?`)
+}()
+
+// CanonicalJournal returns the raw journal with every measurement field
+// removed, leaving only results. Two runs of one campaign must produce
+// byte-identical canonical journals; the measurements are free to differ.
+func CanonicalJournal(raw []byte) []byte {
+	return measurementField.ReplaceAll(raw, nil)
+}
 
 // Clock returns nanoseconds since the recorder was created, from the
 // monotonic clock — the time base of every SpanEvent. Returns 0 on a nil

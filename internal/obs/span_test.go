@@ -50,6 +50,28 @@ func TestSpanEventRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCanonicalJournal pins the measurement/result split: the canonical
+// form drops every *_ns field, the run's wall-clock time, a stage span's
+// worker slot and the wall-clock derived metric gauges, wherever they sit
+// in the object, and keeps every result byte.
+func TestCanonicalJournal(t *testing.T) {
+	cases := []struct{ raw, want string }{
+		{`{"t":"span","seq":1,"span":3,"parent":2,"kind":"stage","name":"trace","workload":"458.sjeng","worker":2,"start_ns":10,"dur_ns":-5}`,
+			`{"t":"span","seq":1,"span":3,"parent":2,"kind":"stage","name":"trace","workload":"458.sjeng"}`},
+		{`{"t":"run_start","seq":0,"tool":"archexplorer","time":"2026-01-02T03:04:05Z","budget":60}`,
+			`{"t":"run_start","seq":0,"tool":"archexplorer","budget":60}`},
+		{`{"sim_ns":7,"t":"x","nested":{"deg_ns":1},"elapsed_ns":9}`, `{"t":"x","nested":{}}`},
+		{`{"t":"run_end","seq":9,"hv":7.5,"elapsed_ns":41,"metrics":{"archx_hypervolume":7.5,"archx_runtime_heap_alloc_bytes":1.2e+07,"archx_sim_insts_per_sec":2180792.02004584,"archx_sim_insts_total":2928000}}`,
+			`{"t":"run_end","seq":9,"hv":7.5,"metrics":{"archx_hypervolume":7.5,"archx_sim_insts_total":2928000}}`},
+		{`{"t":"eval","seq":4,"perf":1.5,"name":"worker_ns\":1"}`, `{"t":"eval","seq":4,"perf":1.5,"name":"worker_ns\":1"}`},
+	}
+	for _, tc := range cases {
+		if got := string(CanonicalJournal([]byte(tc.raw + "\n"))); got != tc.want+"\n" {
+			t.Errorf("CanonicalJournal(%s)\n got %s\nwant %s", tc.raw, got, tc.want)
+		}
+	}
+}
+
 // TestUnknownByteIdenticalRoundTrip is the forward-compatibility contract
 // the journal versioning rule promises: an event kind this build does not
 // know — payload fields included — reads into Unknown and re-marshals
