@@ -19,6 +19,7 @@ import (
 	"archexplorer/internal/mcpat"
 	"archexplorer/internal/obs"
 	"archexplorer/internal/ooo"
+	"archexplorer/internal/par"
 	"archexplorer/internal/pipetrace"
 	"archexplorer/internal/uarch"
 	"archexplorer/internal/workload"
@@ -100,12 +101,12 @@ func main() {
 			sa, err := deg.NewStreamAnalyzer(deg.WindowOptions{
 				Window: degf.Window, Overlap: degf.Overlap,
 				ReorderWindow: cfg.ROBEntries,
-				Workers:       degf.ResolvedWorkers(),
+				Workers:       par.DefaultLimit(),
 				OnQueueWait:   func(d time.Duration) { qwait.Observe(d.Seconds()) },
 			})
 			cli.Check(err)
 			t0 = time.Now()
-			stats, err = core.RunStream(stream, degf.Chunk, sa.Feed)
+			stats, err = core.RunStream(stream, ooo.DefaultChunkSize, sa.Feed)
 			cli.Check(err)
 			peak := sa.PeakBufferedRecords()
 			rep, ws, err = sa.Finish(stats.Cycles)
@@ -125,7 +126,7 @@ func main() {
 				rep, ws, err = deg.AnalyzeWindowed(tr, deg.WindowOptions{
 					Window: degf.Window, Overlap: degf.Overlap,
 					ReorderWindow: cfg.ROBEntries,
-					Workers:       degf.ResolvedWorkers(),
+					Workers:       par.DefaultLimit(),
 				})
 				cli.Check(err)
 				fmt.Printf("windowed analysis: %d windows, peak %d edges / %d vertices, %d clipped deps\n",
@@ -139,7 +140,7 @@ func main() {
 		if ws != nil {
 			rec.Gauge(obs.MetricDEGWindows).Set(float64(ws.Windows))
 			rec.Gauge(obs.MetricDEGPeakEdges).Set(float64(ws.PeakEdges))
-			rec.Gauge(obs.MetricDEGWorkers).Set(float64(degf.ResolvedWorkers()))
+			rec.Gauge(obs.MetricDEGWorkers).Set(float64(par.DefaultLimit()))
 			if d := ws.Dropped(); d > 0 {
 				rec.Counter(obs.MetricDEGDrops).Add(int64(d))
 			}

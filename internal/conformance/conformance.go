@@ -1,21 +1,22 @@
 // Package conformance is the differential-testing harness over the
-// simulator's five execution engines: per-config full-fidelity (Core.Run),
-// probe-lite (Core.RunLite), streaming (Core.RunStream), batched
-// multi-config (ooo.RunBatch, full and lite), and parallel windowed DEG
-// analysis (deg.AnalyzeWindowed with Workers > 1). All five implement one
-// timing-and-attribution model, so for any (config, stream) pair they must
-// agree exactly; the package quantifies that over randomly drawn valid
-// configurations.
+// simulator's execution engines and the bottleneck analyzers that consume
+// them: the reference full-fidelity run (Core.Run), probe-lite
+// (Core.RunLite), streaming (Core.RunStream), the pooled whole-trace DEG
+// kernel (deg.AnalyzeWindowed with no window), and parallel windowed DEG
+// analysis (deg.AnalyzeWindowed with Workers > 1). All of them implement
+// one timing-and-attribution model, so for any (config, stream) pair they
+// must agree exactly; the package quantifies that over randomly drawn
+// valid configurations.
 //
-// The oracle is the fingerprint family in internal/ooo: full engines are
-// compared through ooo.Fingerprint (every deterministic record field),
-// lite engines through ooo.TimingFingerprint (the lite-preserved subset),
-// and the chunked stream through ooo.ChunkedFingerprint. DEG bottleneck
-// attributions computed from the reference and batched traces are compared
-// structurally — agreement of the traces' annotations is necessary but not
-// sufficient for ArchExplorer, whose decisions consume the reports — and
-// the parallel windowed analyzer must reproduce the sequential windowed
-// report bit for bit on the same trace.
+// The oracle is the fingerprint family in internal/ooo: lite runs are
+// compared to the reference through ooo.TimingFingerprint (the
+// lite-preserved subset) and the chunked stream through
+// ooo.ChunkedFingerprint against ooo.Fingerprint. Bottleneck reports are
+// compared structurally — agreement of the traces' annotations is
+// necessary but not sufficient for ArchExplorer, whose decisions consume
+// the reports: the pooled kernel the evaluator runs must reproduce
+// deg.Analyze's report on the reference trace, and the parallel windowed
+// analyzer must reproduce the sequential windowed report bit for bit.
 //
 // When a draw disagrees, Shrink reduces the failing design point toward
 // the baseline one lattice step at a time, so the reported counterexample
@@ -66,7 +67,7 @@ func (g *Gen) Config() uarch.Config { return g.Space.Decode(g.Point()) }
 // Mismatch is one engine disagreement: the named engine's fingerprint
 // diverged from the per-config reference run on this (config, workload).
 type Mismatch struct {
-	Engine    string // "batch", "batch-lite", "lite", "stream", "deg", "deg-par"
+	Engine    string // "lite", "stream", "deg", "deg-par"
 	Workload  string
 	Config    uarch.Config
 	Want, Got uint64 // reference and diverging fingerprints (0 for the deg engines)
@@ -81,74 +82,33 @@ func (m *Mismatch) Error() string {
 // Check cross-checks every engine for each config over one instruction
 // stream and returns the first disagreement as a *Mismatch (or the first
 // operational error). nil means all engines agreed on every config.
-//
-// The batched engine runs all configs in one RunBatch call (full and
-// lite), exactly how the evaluator's fast path uses it, so cross-lane
-// state leaks — the bug class batching invites — are in scope.
 func Check(stream []isa.Inst, wl string, cfgs []uarch.Config, withDEG bool) error {
 	if len(cfgs) == 0 {
 		return fmt.Errorf("conformance: no configs to check")
 	}
 	for _, cfg := range cfgs {
-		if err := cfg.Validate(); err != nil {
+		core, err := ooo.New(cfg)
+		if err != nil {
 			return err
 		}
-	}
-	full, err := ooo.RunBatch(stream, cfgs, ooo.BatchOptions{})
-	if err != nil {
-		return err
-	}
-	defer releaseAll(full)
-	lite, err := ooo.RunBatch(stream, cfgs, ooo.BatchOptions{Lite: true})
-	if err != nil {
-		return err
-	}
-	defer releaseAll(lite)
-	for i, cfg := range cfgs {
-		if err := checkOne(stream, wl, cfg, full[i], lite[i], withDEG); err != nil {
+		tr, st, err := core.Run(stream)
+		if err != nil {
+			return err
+		}
+		err = checkOne(stream, wl, cfg, tr, st, withDEG)
+		tr.Release()
+		if err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func releaseAll(res []ooo.BatchResult) {
-	for _, r := range res {
-		if r.Trace != nil {
-			r.Trace.Release()
-		}
-	}
-}
-
-// checkOne compares one config's batch lanes and single-config engines
-// against a fresh reference run.
-func checkOne(stream []isa.Inst, wl string, cfg uarch.Config, full, lite ooo.BatchResult, withDEG bool) error {
-	if full.Err != nil {
-		return full.Err
-	}
-	if lite.Err != nil {
-		return lite.Err
-	}
-
-	// Reference: the plain per-config full-fidelity engine.
-	core, err := ooo.New(cfg)
-	if err != nil {
-		return err
-	}
-	tr, st, err := core.Run(stream)
-	if err != nil {
-		return err
-	}
-	defer tr.Release()
+// checkOne compares cfg's engines against the reference run tr/st, the
+// plain per-config full-fidelity simulation of cfg over stream.
+func checkOne(stream []isa.Inst, wl string, cfg uarch.Config, tr *pipetrace.Trace, st *ooo.Stats, withDEG bool) error {
 	ref := ooo.Fingerprint(tr, st)
 	refTiming := ooo.TimingFingerprint(tr, st)
-
-	if got := ooo.Fingerprint(full.Trace, full.Stats); got != ref {
-		return &Mismatch{Engine: "batch", Workload: wl, Config: cfg, Want: ref, Got: got}
-	}
-	if got := ooo.TimingFingerprint(lite.Trace, lite.Stats); got != refTiming {
-		return &Mismatch{Engine: "batch-lite", Workload: wl, Config: cfg, Want: refTiming, Got: got}
-	}
 
 	liteCore, err := ooo.New(cfg)
 	if err != nil {
@@ -173,22 +133,24 @@ func checkOne(stream []isa.Inst, wl string, cfg uarch.Config, full, lite ooo.Bat
 	}
 
 	if withDEG {
+		// The pooled whole-trace kernel the evaluator runs must reproduce
+		// the unpooled reference analysis.
 		refRep, _, _, err := deg.Analyze(tr, deg.Options{})
 		if err != nil {
 			return err
 		}
-		batchRep, _, _, err := deg.Analyze(full.Trace, deg.Options{})
+		pooledRep, _, err := deg.AnalyzeWindowed(tr, deg.WindowOptions{})
 		if err != nil {
 			return err
 		}
-		if !reflect.DeepEqual(refRep, batchRep) {
+		if !reflect.DeepEqual(refRep, pooledRep) {
 			return &Mismatch{Engine: "deg", Workload: wl, Config: cfg}
 		}
 
-		// Fifth engine: parallel windowed DEG analysis. Window at roughly a
-		// quarter of the trace so the run genuinely spans several windows,
-		// with the margin derived from the config's own reorder window —
-		// then the 4-worker report and stats must be bit-identical to the
+		// Parallel windowed DEG analysis. Window at roughly a quarter of
+		// the trace so the run genuinely spans several windows, with the
+		// margin derived from the config's own reorder window — then the
+		// 4-worker report and stats must be bit-identical to the
 		// sequential windowed run on the same trace.
 		window := max(1, len(tr.Records)/4)
 		seq := deg.WindowOptions{Window: window, ReorderWindow: cfg.ROBEntries}

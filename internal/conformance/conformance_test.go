@@ -27,9 +27,8 @@ func stream(t testing.TB, name string, n int) []isa.Inst {
 }
 
 // TestCorpus is the conformance corpus: 200 random valid configs (40 with
-// -short) checked across all five engines on every bundled workload, in
-// RunBatch-sized rounds so the batched engine sees realistic multi-config
-// batches. A failing draw is shrunk toward the baseline before reporting,
+// -short) checked across every engine on every bundled workload, in
+// rounds of 25 configs. A failing draw is shrunk toward the baseline before reporting,
 // so the log names a locally minimal counterexample.
 func TestCorpus(t *testing.T) {
 	const round = 25
@@ -65,7 +64,7 @@ func TestCorpus(t *testing.T) {
 
 // TestCorpusEdges pins the capacity-floor corners of the space: configs
 // with every pool starved at once (at both width extremes) and with each
-// pool starved individually, checked across all five engines with the DEG
+// pool starved individually, checked across every engine with the DEG
 // oracles on (including the parallel windowed engine). Random draws never
 // land here, but these are the points where
 // the pool free lists saturate every cycle — the first place a pool
@@ -102,9 +101,9 @@ func reportShrunk(t *testing.T, space *uarch.Space, st []isa.Inst, name string, 
 		t.Fatalf("engines diverged on %s: %v\nshrunk counterexample: %v\n%v",
 			name, err, min, Check(st, name, []uarch.Config{space.Decode(min)}, withDEG))
 	}
-	// No single config reproduces it: a cross-lane interaction inside the
-	// batch. Report the whole round.
-	t.Fatalf("engines diverged on %s (only as a batch of %d): %v", name, len(pts), err)
+	// No single config reproduces it: state leaking between the round's
+	// runs (pooled buffers). Report the whole round.
+	t.Fatalf("engines diverged on %s (only as a round of %d): %v", name, len(pts), err)
 }
 
 // TestCheckAgreesOnBaseline is the fast smoke: the baseline design point,
@@ -224,13 +223,13 @@ func TestShrinkMovesUpTowardBaseline(t *testing.T) {
 // TestMismatchError: the failure report names the engine, workload, and
 // both fingerprints — everything needed to reproduce by hand.
 func TestMismatchError(t *testing.T) {
-	m := &Mismatch{Engine: "batch", Workload: "429.mcf", Config: uarch.Baseline(), Want: 0xabc, Got: 0xdef}
+	m := &Mismatch{Engine: "stream", Workload: "429.mcf", Config: uarch.Baseline(), Want: 0xabc, Got: 0xdef}
 	var err error = m
 	var back *Mismatch
 	if !errors.As(err, &back) {
 		t.Fatal("Mismatch does not travel as an error")
 	}
-	for _, want := range []string{"batch", "429.mcf", "0xabc", "0xdef"} {
+	for _, want := range []string{"stream", "429.mcf", "0xabc", "0xdef"} {
 		if !strings.Contains(m.Error(), want) {
 			t.Fatalf("mismatch report %q missing %q", m.Error(), want)
 		}

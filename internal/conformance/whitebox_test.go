@@ -6,64 +6,66 @@ import (
 	"testing"
 
 	"archexplorer/internal/ooo"
+	"archexplorer/internal/pipetrace"
 	"archexplorer/internal/uarch"
 )
 
-// TestCheckOneDetectsBatchDivergence drives the detector itself: hand
-// checkOne batch lanes simulated with a DIFFERENT config than the
-// reference and it must name the diverging engine. This is the only way
-// to exercise the mismatch paths while the real engines agree.
-func TestCheckOneDetectsBatchDivergence(t *testing.T) {
+// TestCheckOneDetectsDivergence drives the detector itself: hand
+// checkOne a reference that does not match the config under check and it
+// must name the engine that diverges. This is the only way to exercise
+// the mismatch paths while the real engines agree.
+func TestCheckOneDetectsDivergence(t *testing.T) {
 	st := stream(t, "458.sjeng", 600)
 	space := uarch.StandardSpace()
-	ref := space.Decode(space.Nearest(uarch.Baseline()))
-	other := ref
-	other.Width = ref.Width * 2
+	cfg := space.Decode(space.Nearest(uarch.Baseline()))
+	other := cfg
+	other.Width = cfg.Width * 2
 
-	lanes := func(cfg uarch.Config, lite bool) ooo.BatchResult {
-		res, err := ooo.RunBatch(st, []uarch.Config{cfg}, ooo.BatchOptions{Lite: lite})
+	run := func(c uarch.Config, lite bool) (*pipetrace.Trace, *ooo.Stats) {
+		core, err := ooo.New(c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res[0]
-	}
-	refFull, refLite := lanes(ref, false), lanes(ref, true)
-	otherFull, otherLite := lanes(other, false), lanes(other, true)
-	defer func() {
-		for _, r := range []ooo.BatchResult{refFull, refLite, otherFull, otherLite} {
-			r.Trace.Release()
+		sim := core.Run
+		if lite {
+			sim = core.RunLite
 		}
-	}()
+		tr, stats, err := sim(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(tr.Release)
+		return tr, stats
+	}
+	refTr, refSt := run(cfg, false)
+	otherTr, otherSt := run(other, false)
+	// A lite reference has the right timing but no DEG annotations, so
+	// only the full-fingerprint engine can tell it apart.
+	liteTr, liteSt := run(cfg, true)
 
 	var m *Mismatch
-	if err := checkOne(st, "wl", ref, otherFull, refLite, false); !errors.As(err, &m) || m.Engine != "batch" {
-		t.Fatalf("divergent full lane not caught: %v", err)
+	if err := checkOne(st, "wl", cfg, otherTr, otherSt, false); !errors.As(err, &m) || m.Engine != "lite" {
+		t.Fatalf("divergent reference not caught by the lite engine: %v", err)
 	}
-	if err := checkOne(st, "wl", ref, refFull, otherLite, false); !errors.As(err, &m) || m.Engine != "batch-lite" {
-		t.Fatalf("divergent lite lane not caught: %v", err)
+	if m.Workload != "wl" || m.Config != cfg || m.Want == m.Got {
+		t.Fatalf("mismatch misreported: %+v", m)
 	}
-	if err := checkOne(st, "wl", ref, refFull, refLite, true); err != nil {
-		t.Fatalf("agreeing lanes rejected: %v", err)
+	if err := checkOne(st, "wl", cfg, liteTr, liteSt, false); !errors.As(err, &m) || m.Engine != "stream" {
+		t.Fatalf("annotation-free reference not caught by the stream engine: %v", err)
 	}
-
-	// Poisoned lanes short-circuit with their own error.
-	poison := errors.New("lane poisoned")
-	if err := checkOne(st, "wl", ref, ooo.BatchResult{Err: poison}, refLite, false); !errors.Is(err, poison) {
-		t.Fatalf("full lane error not surfaced: %v", err)
-	}
-	if err := checkOne(st, "wl", ref, refFull, ooo.BatchResult{Err: poison}, false); !errors.Is(err, poison) {
-		t.Fatalf("lite lane error not surfaced: %v", err)
+	if err := checkOne(st, "wl", cfg, refTr, refSt, true); err != nil {
+		t.Fatalf("agreeing engines rejected: %v", err)
 	}
 
-	// A config the reference engine itself rejects surfaces as an error.
-	bad := ref
+	// A config the engines themselves reject surfaces as an error.
+	bad := cfg
 	bad.IntRF = 2
-	if err := checkOne(st, "wl", bad, refFull, refLite, false); err == nil {
-		t.Fatal("invalid reference config accepted")
+	if err := checkOne(st, "wl", bad, refTr, refSt, false); err == nil {
+		t.Fatal("invalid config accepted")
 	}
-	// An empty stream fails the reference run.
-	if err := checkOne(nil, "wl", ref, refFull, refLite, false); err == nil {
-		t.Fatal("empty stream accepted by the reference run")
+	// An empty stream fails the engine runs.
+	if err := checkOne(nil, "wl", cfg, refTr, refSt, false); err == nil {
+		t.Fatal("empty stream accepted")
 	}
 }
 

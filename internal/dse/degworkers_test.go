@@ -63,20 +63,7 @@ func TestEvaluatorDEGWorkersDeterminism(t *testing.T) {
 					parE.DEGWindows, parE.DEGPeakEdges, parE.DEGDrops)
 			}
 
-			seqJ, parJ := obs.CanonicalJournal(seqRaw), obs.CanonicalJournal(parRaw)
-			if len(seqJ) == 0 {
-				t.Fatal("empty journal")
-			}
-			if !bytes.Equal(seqJ, parJ) {
-				// Find the first diverging line for a readable failure.
-				sl, pl := bytes.Split(seqJ, []byte("\n")), bytes.Split(parJ, []byte("\n"))
-				for i := 0; i < len(sl) && i < len(pl); i++ {
-					if !bytes.Equal(sl[i], pl[i]) {
-						t.Fatalf("journal bytes differ at line %d:\nseq %s\npar %s", i+1, sl[i], pl[i])
-					}
-				}
-				t.Fatalf("journal lengths differ: %d vs %d lines", len(sl), len(pl))
-			}
+			sameCanonicalJournal(t, seqRaw, parRaw)
 		})
 	}
 }

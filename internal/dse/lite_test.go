@@ -74,11 +74,11 @@ func TestLiteEvaluationMatchesFull(t *testing.T) {
 }
 
 // TestLiteJournalDeterministic runs the same lite batch sequentially and
-// fanned out, with journals attached, and requires the deterministic fields
-// of the two journals to be identical — probe-lite and trace pooling must
-// not leak scheduling order into the telemetry stream.
+// fanned out, with journals attached, and requires the canonical journals
+// to be byte-identical — probe-lite and trace pooling must not leak
+// scheduling order into the telemetry stream.
 func TestLiteJournalDeterministic(t *testing.T) {
-	run := func(parallelism int) ([]obs.Event, *Evaluator) {
+	run := func(parallelism int) ([]byte, *Evaluator) {
 		ev := NewEvaluator(uarch.StandardSpace(), miniSuite(), 1500)
 		ev.Parallelism = parallelism
 		rec := obs.New()
@@ -91,26 +91,12 @@ func TestLiteJournalDeterministic(t *testing.T) {
 		if err := rec.Close(); err != nil {
 			t.Fatal(err)
 		}
-		events, err := obs.ReadJournal(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return events, ev
+		return buf.Bytes(), ev
 	}
 
-	seqEvents, seqEv := run(1)
-	parEvents, parEv := run(4)
-
-	seq := deterministicTrace(t, seqEvents)
-	par := deterministicTrace(t, parEvents)
-	if len(seq) != len(par) {
-		t.Fatalf("event counts differ: sequential %d, parallel %d", len(seq), len(par))
-	}
-	for i := range seq {
-		if seq[i] != par[i] {
-			t.Fatalf("journal diverges at event %d:\n  seq: %+v\n  par: %+v", i, seq[i], par[i])
-		}
-	}
+	seqRaw, seqEv := run(1)
+	parRaw, parEv := run(4)
+	sameCanonicalJournal(t, seqRaw, parRaw)
 	for i := range seqEv.History {
 		sameEvaluation(t, "lite history", seqEv.History[i], parEv.History[i])
 		if seqEv.History[i].SimInsts != parEv.History[i].SimInsts {

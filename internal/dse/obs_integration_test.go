@@ -9,9 +9,9 @@ import (
 	"archexplorer/internal/uarch"
 )
 
-// runWithJournal drives one ArchExplorer campaign with a journal attached
-// and returns the evaluator plus the parsed journal events.
-func runWithJournal(t *testing.T, parallelism int) (*Evaluator, []obs.Event) {
+// journaledCampaign drives one ArchExplorer campaign with a journal
+// attached and returns the evaluator plus the raw journal bytes.
+func journaledCampaign(t *testing.T, parallelism int) (*Evaluator, []byte) {
 	t.Helper()
 	ev := NewEvaluator(uarch.StandardSpace(), miniSuite(), 1000)
 	ev.Parallelism = parallelism
@@ -25,11 +25,40 @@ func runWithJournal(t *testing.T, parallelism int) (*Evaluator, []obs.Event) {
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
-	events, err := obs.ReadJournal(&buf)
+	return ev, buf.Bytes()
+}
+
+// runWithJournal is journaledCampaign with the journal parsed into events.
+func runWithJournal(t *testing.T, parallelism int) (*Evaluator, []obs.Event) {
+	t.Helper()
+	ev, raw := journaledCampaign(t, parallelism)
+	events, err := obs.ReadJournal(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return ev, events
+}
+
+// sameCanonicalJournal requires two journals of one campaign to be
+// byte-identical once obs.CanonicalJournal has dropped the measurements
+// (timings, worker slots), which may legitimately vary between runs.
+func sameCanonicalJournal(t *testing.T, seqRaw, parRaw []byte) {
+	t.Helper()
+	seqJ, parJ := obs.CanonicalJournal(seqRaw), obs.CanonicalJournal(parRaw)
+	if len(seqJ) == 0 {
+		t.Fatal("empty journal")
+	}
+	if bytes.Equal(seqJ, parJ) {
+		return
+	}
+	// Find the first diverging line for a readable failure.
+	sl, pl := bytes.Split(seqJ, []byte("\n")), bytes.Split(parJ, []byte("\n"))
+	for i := 0; i < len(sl) && i < len(pl); i++ {
+		if !bytes.Equal(sl[i], pl[i]) {
+			t.Fatalf("journal bytes differ at line %d:\nseq %s\npar %s", i+1, sl[i], pl[i])
+		}
+	}
+	t.Fatalf("journal lengths differ: %d vs %d lines", len(sl), len(pl))
 }
 
 // journalStageTotals reduces a journal's eval spans the same way the
@@ -127,77 +156,14 @@ func TestJournalUpgradeReplacesSpan(t *testing.T) {
 	}
 }
 
-// iterKey is the deterministic projection of an iteration event.
-type iterKey struct {
-	explorer           string
-	walk, step         int
-	phase              string
-	sims, hv, best     float64
-	top, grown, shrunk string
-	improved           bool
-	evals              int
-}
-
-// evalKey is the deterministic projection of an eval span (everything but
-// the durations).
-type evalKey struct {
-	span, replaces int64
-	config         string
-	probe          bool
-	simsAt         float64
-	perf, pow, ar  float64
-	simInsts       int64
-}
-
-func deterministicTrace(t *testing.T, events []obs.Event) []any {
-	t.Helper()
-	var out []any
-	for _, e := range events {
-		switch s := e.(type) {
-		case *obs.EvalSpan:
-			out = append(out, evalKey{
-				span: s.Span, replaces: s.Replaces, config: s.Config,
-				probe: s.Probe, simsAt: s.SimsAt, perf: s.Perf, pow: s.PowerW, ar: s.AreaMM2,
-				simInsts: s.SimInsts,
-			})
-		case *obs.IterEvent:
-			k := iterKey{
-				explorer: s.Explorer, walk: s.Walk, step: s.Step, phase: s.Phase,
-				sims: s.Sims, hv: s.HV, best: s.BestIPC, improved: s.Improved, evals: s.Evals,
-			}
-			for _, c := range s.Top {
-				k.top += c.Res + ";"
-			}
-			for _, g := range s.Grown {
-				k.grown += g + ";"
-			}
-			for _, g := range s.Shrunk {
-				k.shrunk += g + ";"
-			}
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
 // TestJournalOrderingDeterministic is the enabled-telemetry contract: a
 // parallel run's journal must carry the same events in the same order as
-// the sequential run's — only the durations inside may differ. Emission
+// the sequential run's — only the measurements inside may differ. Emission
 // happens in the evaluator's commit phase, which is what makes this hold.
 func TestJournalOrderingDeterministic(t *testing.T) {
-	_, seqEvents := runWithJournal(t, 1)
-	_, parEvents := runWithJournal(t, 4)
-
-	seq := deterministicTrace(t, seqEvents)
-	par := deterministicTrace(t, parEvents)
-	if len(seq) != len(par) {
-		t.Fatalf("event counts differ: sequential %d, parallel %d", len(seq), len(par))
-	}
-	for i := range seq {
-		if seq[i] != par[i] {
-			t.Fatalf("journal diverges at event %d:\n  seq: %+v\n  par: %+v", i, seq[i], par[i])
-		}
-	}
+	_, seqRaw := journaledCampaign(t, 1)
+	_, parRaw := journaledCampaign(t, 4)
+	sameCanonicalJournal(t, seqRaw, parRaw)
 }
 
 // TestTelemetryDoesNotPerturbResults: the other half of the byte-identical

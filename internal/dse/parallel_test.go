@@ -1,9 +1,12 @@
 package dse
 
 import (
+	"bytes"
 	"math/rand"
+	"sort"
 	"testing"
 
+	"archexplorer/internal/obs"
 	"archexplorer/internal/pipetrace"
 	"archexplorer/internal/uarch"
 )
@@ -76,6 +79,48 @@ func TestParallelismDeterminism(t *testing.T) {
 	}
 	for i := range seq.History {
 		sameEvaluation(t, "history", seq.History[i], par.History[i])
+	}
+}
+
+// TestParallelismOneIsSequential pins Parallelism's documented contract:
+// at 1, a multi-point batch runs one job and one workload at a time, so no
+// two stage spans are ever in flight together and every span occupies
+// worker slot 1.
+func TestParallelismOneIsSequential(t *testing.T) {
+	ev := NewEvaluator(uarch.StandardSpace(), miniSuite(), 1500)
+	ev.Parallelism = 1
+	rec := obs.New()
+	var buf bytes.Buffer
+	rec.SetJournalWriter(&buf)
+	ev.Obs = rec
+	if _, err := ev.EvaluateBatch(litePoints(ev.Space), true); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	events, err := obs.ReadJournal(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stages []*obs.SpanEvent
+	for _, e := range events {
+		if s, ok := e.(*obs.SpanEvent); ok && s.SpanKind == obs.SpanStage {
+			stages = append(stages, s)
+		}
+	}
+	if want := 3 * len(ev.Workloads) * 4; len(stages) != want {
+		t.Fatalf("journaled %d stage spans, want %d", len(stages), want)
+	}
+	sort.Slice(stages, func(i, j int) bool { return stages[i].StartNS < stages[j].StartNS })
+	for i, s := range stages {
+		if s.Worker != 1 {
+			t.Fatalf("stage %s/%s ran on worker slot %d at Parallelism 1", s.Workload, s.Name, s.Worker)
+		}
+		if i > 0 && s.StartNS < stages[i-1].End() {
+			t.Fatalf("stage %s/%s started at %d while %s/%s ran until %d",
+				s.Workload, s.Name, s.StartNS, stages[i-1].Workload, stages[i-1].Name, stages[i-1].End())
+		}
 	}
 }
 

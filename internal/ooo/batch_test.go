@@ -5,16 +5,25 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"archexplorer/internal/bpred"
 	"archexplorer/internal/isa"
+	"archexplorer/internal/par"
+	"archexplorer/internal/pipetrace"
 	"archexplorer/internal/uarch"
 	"archexplorer/internal/workload"
 )
 
-// batchTestConfigs is a 4-lane batch mixing shared and distinct predictor
-// front ends: baseline and tight share the predictor parameters (one
-// replay serves both), the other two differ, so the replay map holds
-// multiple entries.
+// The tests in this file cover a batch of sibling configs simulated over
+// one shared instruction stream, the way dse.Evaluator runs an evaluation
+// batch: every config gets its own Core, the cached stream is shared
+// read-only, and the runs may overlap on several goroutines while their
+// traces and chunks come from the process-wide pools.
+
+// batchTestConfigs mixes shared and distinct predictor front ends:
+// baseline and tight share the predictor parameters, the other two
+// differ, and the widths span 2 to 6.
 func batchTestConfigs() []uarch.Config {
 	wide := uarch.Baseline()
 	wide.Width = 6
@@ -41,286 +50,400 @@ func batchStreamFor(t *testing.T, name string) []isa.Inst {
 	return stream
 }
 
-// TestBatchParityWithRun is the core batched-simulation oracle: every
-// lane's trace and stats must be bit-identical — full fingerprint, not
-// just IPC — to a dedicated Core.Run (or RunLite) of the same config on
-// the same stream, at every worker count.
+// runConfig simulates one config over stream on a fresh core.
+func runConfig(t *testing.T, cfg uarch.Config, stream []isa.Inst, lite bool) (*pipetrace.Trace, *Stats) {
+	t.Helper()
+	core, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := core.Run
+	if lite {
+		run = core.RunLite
+	}
+	tr, st, err := run(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr, st
+}
+
+// batchFingerprints runs every config over stream on at most workers
+// goroutines and returns each run's full fingerprint.
+func batchFingerprints(stream []isa.Inst, cfgs []uarch.Config, lite bool, workers int) ([]uint64, error) {
+	fps := make([]uint64, len(cfgs))
+	err := par.ForEach(len(cfgs), workers, func(i int) error {
+		core, err := New(cfgs[i])
+		if err != nil {
+			return err
+		}
+		run := core.Run
+		if lite {
+			run = core.RunLite
+		}
+		tr, st, err := run(stream)
+		if err != nil {
+			return err
+		}
+		fps[i] = Fingerprint(tr, st)
+		tr.Release()
+		return nil
+	})
+	return fps, err
+}
+
+// TestBatchParityWithRun: every config of a batch sharing one stream —
+// full fingerprint, not just IPC — equals a dedicated run of that config
+// over a private copy of the stream, at every worker count.
 func TestBatchParityWithRun(t *testing.T) {
 	cfgs := batchTestConfigs()
 	for _, name := range parityWorkloads {
 		stream := batchStreamFor(t, name)
+		private := append([]isa.Inst(nil), stream...)
 		for _, lite := range []bool{false, true} {
-			// Reference fingerprints from dedicated per-config runs.
 			want := make([]uint64, len(cfgs))
 			for i, cfg := range cfgs {
-				core, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				run := core.Run
-				if lite {
-					run = core.RunLite
-				}
-				trc, stats, err := run(stream)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want[i] = Fingerprint(trc, stats)
-				trc.Release()
+				tr, st := runConfig(t, cfg, private, lite)
+				want[i] = Fingerprint(tr, st)
+				tr.Release()
 			}
-			for _, workers := range []int{0, 1, 3} {
-				res, err := RunBatch(stream, cfgs, BatchOptions{Lite: lite, Workers: workers})
+			for _, workers := range []int{1, 3} {
+				got, err := batchFingerprints(stream, cfgs, lite, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i, r := range res {
-					if r.Err != nil {
-						t.Fatalf("%s lite=%v workers=%d cfg %d: %v", name, lite, workers, i, r.Err)
+				for i := range cfgs {
+					if got[i] != want[i] {
+						t.Errorf("%s lite=%v workers=%d cfg %d: batch fingerprint %#x != dedicated run %#x",
+							name, lite, workers, i, got[i], want[i])
 					}
-					if got := Fingerprint(r.Trace, r.Stats); got != want[i] {
-						t.Errorf("%s lite=%v workers=%d cfg %d: batch fingerprint %#x != per-config run %#x",
-							name, lite, workers, i, got, want[i])
-					}
-					r.Trace.Release()
 				}
 			}
 		}
 	}
 }
 
-// TestBatchLiteMatchesRunLiteExactly pins that a Lite batch elides exactly
-// what RunLite elides: the full fingerprint of a Lite lane equals the full
-// fingerprint of a dedicated RunLite, annotations included (both empty).
+// TestBatchLiteMatchesRunLiteExactly: a lite run elides exactly what
+// RunLite promises even when its records reuse pool storage that a full
+// sibling run just filled with annotations. Its full fingerprint (elided
+// annotations included) stays that of a lite run on fresh storage, and
+// its timing fingerprint equals the full run's.
 func TestBatchLiteMatchesRunLiteExactly(t *testing.T) {
 	stream := batchStreamFor(t, "458.sjeng")
 	cfg := tightConfig()
-	core, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, st, err := core.RunLite(stream)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr, st := runConfig(t, cfg, stream, true)
 	want := Fingerprint(tr, st)
 	tr.Release()
 
-	res, err := RunBatch(stream, []uarch.Config{cfg}, BatchOptions{Lite: true, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res[0].Trace.Release()
-	if got := Fingerprint(res[0].Trace, res[0].Stats); got != want {
-		t.Errorf("lite batch fingerprint %#x != RunLite %#x", got, want)
+	for round := 0; round < 3; round++ {
+		full, fullSt := runConfig(t, cfg, stream, false)
+		wantTiming := TimingFingerprint(full, fullSt)
+		full.Release()
+
+		lite, liteSt := runConfig(t, cfg, stream, true)
+		if got := Fingerprint(lite, liteSt); got != want {
+			t.Fatalf("round %d: lite fingerprint %#x after a full run != fresh RunLite %#x", round, got, want)
+		}
+		if got := TimingFingerprint(lite, liteSt); got != wantTiming {
+			t.Fatalf("round %d: lite timing fingerprint %#x != full run %#x", round, got, wantTiming)
+		}
+		lite.Release()
 	}
 }
 
-// TestBatchInvalidConfigIsolated pins per-lane failure isolation for
-// construction-time failures: an invalid config fails only its own slot.
+// TestBatchInvalidConfigIsolated: an invalid config fails at construction,
+// the failure is reported for its own index, and its siblings still
+// simulate the whole stream.
 func TestBatchInvalidConfigIsolated(t *testing.T) {
 	stream := batchStreamFor(t, "429.mcf")
 	bad := uarch.Baseline()
 	bad.IntRF = 2 // below the architectural minimum; Validate rejects it
 	cfgs := []uarch.Config{uarch.Baseline(), bad, tightConfig()}
-	res, err := RunBatch(stream, cfgs, BatchOptions{Lite: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[1].Err == nil || res[1].Trace != nil {
-		t.Fatalf("invalid config did not fail its lane: %+v", res[1])
+	committed := make([]uint64, len(cfgs))
+	failed := make([]error, len(cfgs))
+	err := par.ForEach(len(cfgs), 2, func(i int) error {
+		core, err := New(cfgs[i])
+		if err != nil {
+			failed[i] = err
+			return err
+		}
+		tr, st, err := core.RunLite(stream)
+		if err != nil {
+			return err
+		}
+		committed[i] = st.Committed
+		tr.Release()
+		return nil
+	})
+	if err == nil || err != failed[1] {
+		t.Fatalf("batch error %v, want the invalid config's %v", err, failed[1])
 	}
 	for _, i := range []int{0, 2} {
-		if res[i].Err != nil {
-			t.Fatalf("sibling lane %d failed: %v", i, res[i].Err)
+		if failed[i] != nil {
+			t.Fatalf("sibling %d failed: %v", i, failed[i])
 		}
-		if res[i].Stats.Committed != uint64(len(stream)) {
-			t.Fatalf("sibling lane %d committed %d != %d", i, res[i].Stats.Committed, len(stream))
+		if committed[i] != uint64(len(stream)) {
+			t.Fatalf("sibling %d committed %d != %d", i, committed[i], len(stream))
 		}
-		res[i].Trace.Release()
 	}
 }
 
-// TestBatchCheckFailureIsolated pins the Check hook's isolation contract:
-// a lane whose Check errors or panics is poisoned, the rest of the batch
-// stays bit-exact with per-config runs.
+// TestBatchCheckFailureIsolated: one streamed run whose sink errors or
+// panics mid-run stops alone; the siblings streaming next to it through
+// the same chunk pool stay bit-exact with dedicated runs.
 func TestBatchCheckFailureIsolated(t *testing.T) {
 	stream := batchStreamFor(t, "619.lbm_s")
 	cfgs := batchTestConfigs()
+	want := make([]uint64, len(cfgs))
+	for i, cfg := range cfgs {
+		tr, st := runConfig(t, cfg, stream, false)
+		want[i] = Fingerprint(tr, st)
+		tr.Release()
+	}
 	checkErr := errors.New("lane rejected")
+	const poisoned = 2
 	for _, mode := range []string{"error", "panic"} {
 		for _, workers := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/workers=%d", mode, workers), func(t *testing.T) {
-				res, err := RunBatch(stream, cfgs, BatchOptions{
-					Lite:    true,
-					Workers: workers,
-					Check: func(cfg int) error {
-						if cfg != 2 {
-							return nil
+				got := make([]uint64, len(cfgs))
+				errs := make([]error, len(cfgs))
+				_ = par.ForEach(len(cfgs), workers, func(i int) (err error) {
+					defer func() {
+						if p := recover(); p != nil {
+							err = fmt.Errorf("lane panicked: %v", p)
 						}
-						if mode == "panic" {
-							panic("injected lane panic")
-						}
-						return checkErr
-					},
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res[2].Err == nil || res[2].Trace != nil {
-					t.Fatalf("lane 2 was not poisoned: %+v", res[2])
-				}
-				if mode == "error" && !errors.Is(res[2].Err, checkErr) {
-					t.Fatalf("lane 2 error %v does not wrap the Check error", res[2].Err)
-				}
-				for i, r := range res {
-					if i == 2 {
-						continue
-					}
-					if r.Err != nil {
-						t.Fatalf("sibling lane %d failed: %v", i, r.Err)
-					}
+						errs[i] = err
+					}()
 					core, err := New(cfgs[i])
 					if err != nil {
-						t.Fatal(err)
+						return err
 					}
-					tr, st, err := core.RunLite(stream)
+					var chunks []*pipetrace.Chunk
+					defer func() {
+						for _, c := range chunks {
+							c.Release()
+						}
+					}()
+					st, err := core.RunStream(stream, 512, func(c *pipetrace.Chunk) error {
+						if i == poisoned && len(chunks) == 2 {
+							c.Release()
+							if mode == "panic" {
+								panic("injected lane panic")
+							}
+							return checkErr
+						}
+						chunks = append(chunks, c)
+						return nil
+					})
 					if err != nil {
-						t.Fatal(err)
+						return err
 					}
-					if got, want := Fingerprint(r.Trace, r.Stats), Fingerprint(tr, st); got != want {
-						t.Errorf("lane %d diverged after sibling poison: %#x != %#x", i, got, want)
+					got[i] = ChunkedFingerprint(st.Cycles, st, func(hash func(*pipetrace.Record)) {
+						for _, c := range chunks {
+							for k := range c.Records {
+								hash(&c.Records[k])
+							}
+						}
+					})
+					return nil
+				})
+				switch {
+				case errs[poisoned] == nil:
+					t.Fatalf("lane %d was not stopped", poisoned)
+				case mode == "error" && !errors.Is(errs[poisoned], checkErr):
+					t.Fatalf("lane %d error %v is not the sink's error", poisoned, errs[poisoned])
+				case mode == "panic" && errs[poisoned].Error() != "lane panicked: injected lane panic":
+					t.Fatalf("lane %d error %v does not carry the sink's panic", poisoned, errs[poisoned])
+				}
+				for i := range cfgs {
+					if i == poisoned {
+						continue
 					}
-					tr.Release()
-					r.Trace.Release()
+					if errs[i] != nil {
+						t.Fatalf("sibling lane %d failed: %v", i, errs[i])
+					}
+					if got[i] != want[i] {
+						t.Errorf("lane %d diverged next to a stopped sibling: %#x != %#x", i, got[i], want[i])
+					}
 				}
 			})
 		}
 	}
 }
 
-// TestBatchGate pins the Gate contract: every worker's pass runs inside
-// the gate, and gating changes nothing about the results.
+// TestBatchGate: the simulator never takes a compute slot of its own, so a
+// batch whose every run holds one of par.Slot's slots — the gate the
+// evaluator runs each simulation behind — completes even with the pool
+// saturated, and gating changes nothing about the results.
 func TestBatchGate(t *testing.T) {
 	stream := batchStreamFor(t, "453.povray")
 	cfgs := batchTestConfigs()
-	var calls atomic.Int64
-	res, err := RunBatch(stream, cfgs, BatchOptions{
-		Lite:    true,
-		Workers: 2,
-		Gate: func(fn func()) {
-			calls.Add(1)
-			fn()
-		},
-	})
+	want, err := batchFingerprints(stream, cfgs, true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := calls.Load(); got != 2 {
-		t.Errorf("gate wrapped %d workers, want 2", got)
-	}
-	for i, r := range res {
-		if r.Err != nil {
-			t.Fatalf("lane %d: %v", i, r.Err)
+	var calls atomic.Int64
+	got := make([]uint64, len(cfgs))
+	done := make(chan error, 1)
+	go func() {
+		done <- par.ForEach(len(cfgs), par.DefaultLimit(), func(i int) (err error) {
+			par.Slot(func() {
+				calls.Add(1)
+				var fps []uint64
+				fps, err = batchFingerprints(stream, cfgs[i:i+1], true, 1)
+				if err == nil {
+					got[i] = fps[0]
+				}
+			})
+			return err
+		})
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
 		}
-		r.Trace.Release()
+	case <-time.After(2 * time.Minute):
+		t.Fatal("gated batch did not finish: a run waits for a compute slot it cannot get")
+	}
+	if n := calls.Load(); n != int64(len(cfgs)) {
+		t.Errorf("gate ran %d runs, want %d", n, len(cfgs))
+	}
+	for i := range cfgs {
+		if got[i] != want[i] {
+			t.Errorf("cfg %d: gated fingerprint %#x != ungated %#x", i, got[i], want[i])
+		}
 	}
 }
 
-// TestBatchInputValidation pins the whole-call error cases.
+// TestBatchInputValidation pins the whole-call error cases of every
+// engine, and that a rejected call leaves the core untouched: the same
+// core then simulates a real stream exactly like a fresh one.
 func TestBatchInputValidation(t *testing.T) {
 	stream := batchStreamFor(t, "429.mcf")
-	if _, err := RunBatch(nil, []uarch.Config{uarch.Baseline()}, BatchOptions{}); err == nil {
-		t.Error("empty stream accepted")
+	tr, st := runConfig(t, uarch.Baseline(), stream, false)
+	want := Fingerprint(tr, st)
+	tr.Release()
+
+	core, err := New(uarch.Baseline())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := RunBatch(stream, nil, BatchOptions{}); err == nil {
-		t.Error("empty batch accepted")
+	sink := func(c *pipetrace.Chunk) error { c.Release(); return nil }
+	for _, empty := range [][]isa.Inst{nil, {}} {
+		if tr, _, err := core.Run(empty); err == nil || tr != nil {
+			t.Errorf("Run accepted an empty stream (len %d)", len(empty))
+		}
+		if tr, _, err := core.RunLite(empty); err == nil || tr != nil {
+			t.Errorf("RunLite accepted an empty stream (len %d)", len(empty))
+		}
+		if _, err := core.RunStream(empty, 0, sink); err == nil {
+			t.Errorf("RunStream accepted an empty stream (len %d)", len(empty))
+		}
+	}
+	if _, err := core.RunStream(stream, 0, nil); err == nil {
+		t.Error("RunStream accepted a nil sink")
+	}
+	tr, st, err = core.Run(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Release()
+	if got := Fingerprint(tr, st); got != want {
+		t.Errorf("core after rejected calls: fingerprint %#x != fresh core %#x", got, want)
 	}
 }
 
 // TestBatchNoTraceAliasing extends the Retain/Release contract tests to
-// batch mode: the traces a batch returns must be pairwise distinct objects
-// with pairwise distinct record storage, and recycling them between batch
-// rounds must not let one lane's storage surface in another lane's result
-// mid-run. (The double-Release pin that guards the underlying bug class
+// overlapping runs: the traces a batch returns must be pairwise distinct
+// objects with pairwise distinct record storage, and recycling them
+// between rounds must not let one run's storage surface in another run's
+// result. (The double-Release pin that guards the underlying bug class
 // lives with the pool: pipetrace's TestReleaseBeyondZeroPanics.)
 func TestBatchNoTraceAliasing(t *testing.T) {
 	stream := batchStreamFor(t, "458.sjeng")
 	cfgs := batchTestConfigs()
 	var want []uint64
 	for round := 0; round < 3; round++ {
-		res, err := RunBatch(stream, cfgs, BatchOptions{})
+		trs := make([]*pipetrace.Trace, len(cfgs))
+		sts := make([]*Stats, len(cfgs))
+		err := par.ForEach(len(cfgs), 2, func(i int) error {
+			core, err := New(cfgs[i])
+			if err != nil {
+				return err
+			}
+			trs[i], sts[i], err = core.Run(stream)
+			return err
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, a := range res {
-			if a.Err != nil {
-				t.Fatal(a.Err)
-			}
-			for j := i + 1; j < len(res); j++ {
-				b := res[j]
-				if a.Trace == b.Trace {
-					t.Fatalf("round %d: lanes %d and %d share a *Trace", round, i, j)
+		for i, a := range trs {
+			for j := i + 1; j < len(trs); j++ {
+				b := trs[j]
+				if a == b {
+					t.Fatalf("round %d: runs %d and %d share a *Trace", round, i, j)
 				}
-				if &a.Trace.Records[0] == &b.Trace.Records[0] {
-					t.Fatalf("round %d: lanes %d and %d share record storage", round, i, j)
+				if &a.Records[0] == &b.Records[0] {
+					t.Fatalf("round %d: runs %d and %d share record storage", round, i, j)
 				}
 			}
 		}
 		// Fingerprints must be stable across rounds even though every round
-		// after the first runs entirely on pool-recycled storage.
-		for i, r := range res {
-			got := Fingerprint(r.Trace, r.Stats)
+		// after the first runs on pool-recycled storage.
+		for i, tr := range trs {
+			got := Fingerprint(tr, sts[i])
 			if round == 0 {
 				want = append(want, got)
 			} else if got != want[i] {
-				t.Fatalf("round %d lane %d: fingerprint %#x != first round %#x (recycled storage leaked state)",
+				t.Fatalf("round %d run %d: fingerprint %#x != first round %#x (recycled storage leaked state)",
 					round, i, got, want[i])
 			}
 		}
-		for _, r := range res {
-			r.Trace.Release()
+		for _, tr := range trs {
+			tr.Release()
 		}
 	}
 }
 
-// TestBranchReplayMatchesLivePredictor pins the replay's counters against
-// a live predictor run of the same stream.
+// TestBranchReplayMatchesLivePredictor: branch outcomes depend only on the
+// stream and the predictor parameters, never on the timing model. Replaying
+// the stream's branches in program order through a fresh predictor
+// reproduces every run's per-branch misprediction bits and counters, so
+// configs sharing a predictor agree branch for branch at any width.
 func TestBranchReplayMatchesLivePredictor(t *testing.T) {
 	stream := batchStreamFor(t, "429.mcf")
-	cfg := uarch.Baseline()
-	rep, err := NewBranchReplay(stream, predConfig(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	core, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, st, err := core.RunLite(stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Release()
-	if uint64(rep.Branches()) != st.BranchLookups || rep.lookups != st.BranchLookups {
-		t.Errorf("replay branches %d / lookups %d, live lookups %d", rep.Branches(), rep.lookups, st.BranchLookups)
-	}
-	if rep.mispredicts != st.Mispredicts {
-		t.Errorf("replay mispredicts %d, live %d", rep.mispredicts, st.Mispredicts)
-	}
-	// The per-branch bits must match the live run's per-record outcomes.
-	bi := 0
-	for i := range tr.Records {
-		r := &tr.Records[i]
-		if r.Class != isa.OpBranch {
-			continue
+	for i, cfg := range batchTestConfigs() {
+		p, err := bpred.New(predConfig(cfg))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if rep.mispredicted(bi) != r.Mispredicted {
-			t.Fatalf("branch %d (seq %d): replay says %v, live run says %v",
-				bi, r.Seq, rep.mispredicted(bi), r.Mispredicted)
+		var replay []bool
+		for k := range stream {
+			if stream[k].Class == isa.OpBranch {
+				replay = append(replay, resolveBranch(p, &stream[k]))
+			}
 		}
-		bi++
-	}
-	if bi != rep.Branches() {
-		t.Fatalf("consumed %d replay bits, replay recorded %d", bi, rep.Branches())
+		tr, st := runConfig(t, cfg, stream, true)
+		if p.Lookups != st.BranchLookups || p.Mispredicts != st.Mispredicts {
+			t.Errorf("cfg %d: replay lookups %d / mispredicts %d, live %d / %d",
+				i, p.Lookups, p.Mispredicts, st.BranchLookups, st.Mispredicts)
+		}
+		bi := 0
+		for k := range tr.Records {
+			r := &tr.Records[k]
+			if r.Class != isa.OpBranch {
+				continue
+			}
+			if replay[bi] != r.Mispredicted {
+				t.Fatalf("cfg %d branch %d (seq %d): replay says %v, live run says %v",
+					i, bi, r.Seq, replay[bi], r.Mispredicted)
+			}
+			bi++
+		}
+		if bi != len(replay) {
+			t.Fatalf("cfg %d: live run has %d branches, replay %d", i, bi, len(replay))
+		}
+		tr.Release()
 	}
 }

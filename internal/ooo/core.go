@@ -106,12 +106,6 @@ type Core struct {
 	pred *bpred.Predictor
 	hier *cache.Hierarchy
 
-	// replay substitutes a batch's shared precomputed branch outcomes for
-	// live predictor queries (pred is nil then — see RunBatch); replayNext
-	// indexes the next branch of the stream in the replay's bitmap.
-	replay     *BranchReplay
-	replayNext int
-
 	// Program-order stage trackers.
 	fetchBW, decodeBW, renameBW, dispatchBW, commitBW *inorderBW
 	issueBW                                           *bwRing
@@ -152,7 +146,7 @@ type Core struct {
 	pendingRedirectSeq int
 
 	// Per-run recording state: the arena the current record's annotations
-	// intern into — the batch trace's in Run, the current chunk's in
+	// intern into — the whole trace's in Run, the current chunk's in
 	// RunStream — and whether this run elides the DEG-only annotations
 	// (probe-lite).
 	arena *pipetrace.Arena
@@ -167,18 +161,8 @@ type storeEntry struct {
 	commit int64 // commit cycle (forwarding window end)
 }
 
-// New builds a core for the given configuration.
-func New(cfg uarch.Config) (*Core, error) {
-	pred, err := bpred.New(predConfig(cfg))
-	if err != nil {
-		return nil, err
-	}
-	return newCore(cfg, pred)
-}
-
 // predConfig projects the front-end predictor parameters out of a design
-// point. Configs that agree on it share identical prediction behaviour on
-// a given stream — the batch path's replay-sharing key.
+// point.
 func predConfig(cfg uarch.Config) bpred.Config {
 	return bpred.Config{
 		LocalEntries:  cfg.LocalPredictor,
@@ -188,10 +172,12 @@ func predConfig(cfg uarch.Config) bpred.Config {
 	}
 }
 
-// newCore builds the core around an optional live predictor. RunBatch
-// passes nil and installs a shared BranchReplay instead; every other path
-// supplies the predictor New constructs.
-func newCore(cfg uarch.Config, pred *bpred.Predictor) (*Core, error) {
+// New builds a core for the given configuration.
+func New(cfg uarch.Config) (*Core, error) {
+	pred, err := bpred.New(predConfig(cfg))
+	if err != nil {
+		return nil, err
+	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -319,23 +305,12 @@ func (c *Core) finalizeStats(n int) {
 	c.stats.DCacheMisses = c.hier.L1D.Misses
 	c.stats.L2Accesses = c.hier.L2.Accesses
 	c.stats.L2Misses = c.hier.L2.Misses
-	if c.pred != nil {
-		c.stats.BranchLookups = c.pred.Lookups
-		c.stats.Mispredicts = c.pred.Mispredicts
-	} else {
-		// Replay lanes share one predictor run; its counters were captured
-		// when the replay was built and are identical for every lane.
-		c.stats.BranchLookups = c.replay.lookups
-		c.stats.Mispredicts = c.replay.mispredicts
-	}
+	c.stats.BranchLookups = c.pred.Lookups
+	c.stats.Mispredicts = c.pred.Mispredicts
 }
 
-// resolveBranch runs one branch through the live predictor exactly as the
-// fetch stage always has — predict, recover on a mispredict, train — and
-// reports whether it mispredicted. It is the single definition of the
-// prediction outcome: the fetch stage calls it for live cores and
-// NewBranchReplay calls it to precompute a batch's shared outcome stream,
-// so the two paths cannot drift.
+// resolveBranch runs one branch through the predictor — predict, recover
+// on a mispredict, train — and reports whether it mispredicted.
 func resolveBranch(p *bpred.Predictor, in *isa.Inst) bool {
 	pred := p.Predict(in.PC, in.BrKind)
 	mispred := pred.Taken != in.Taken || (in.Taken && pred.Target != in.NextPC())
@@ -387,17 +362,7 @@ func (c *Core) fetch(in *isa.Inst, rec *pipetrace.Record) {
 	groupDone := c.groupLeft == 0
 
 	if in.Class == isa.OpBranch {
-		var mispred bool
-		if c.replay != nil {
-			// Batch lane: prediction outcomes are a pure function of the
-			// stream and the predictor config, precomputed once and shared
-			// by every lane with this front end (see BranchReplay).
-			mispred = c.replay.mispredicted(c.replayNext)
-			c.replayNext++
-		} else {
-			mispred = resolveBranch(c.pred, in)
-		}
-		if mispred {
+		if resolveBranch(c.pred, in) {
 			rec.Mispredicted = true
 			// The front end stalls until the branch resolves; the
 			// resolve time is filled in by schedule().
