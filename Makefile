@@ -56,13 +56,15 @@ cover:
 	check conformance $(COVER_MIN_CONFORMANCE)
 
 # A short randomized pass over the campaign-file reader, the engine
-# conformance check, and the capacity-pool/heap differential (the
-# calendar-queue pool must pop bit-identically to container/heap), on top
-# of the checked-in seed corpora that `make test` already replays.
+# conformance check, and the two capacity-pool differentials (the heap
+# transcription must pop bit-identically to container/heap, and the
+# times-only ring must pop the heap's times), on top of the checked-in
+# seed corpora that `make test` already replays.
 fuzz-seeds:
 	$(GO) test -fuzz=FuzzRead -fuzztime=10s ./internal/persist/
 	$(GO) test -fuzz=FuzzConformance -fuzztime=10s ./internal/conformance/
 	$(GO) test -fuzz=FuzzCapPoolParity -fuzztime=10s ./internal/ooo/
+	$(GO) test -fuzz=FuzzRingPoolParity -fuzztime=10s ./internal/ooo/
 
 # One regeneration per experiment plus the evaluator fan-out comparison.
 bench:
@@ -119,10 +121,11 @@ bench-spans:
 # Every benchmark family, gated against the committed baselines: fails if
 # simulator or pipeline throughput lands more than 10% below what
 # BENCH_sim.json / BENCH_pipeline.json record for the reference host.
-# The simulator gates are the calendar-queue numbers (the current
-# baseline) PLUS a speedup floor: SimFull must also hold >=1.2x the
-# pre-calendar-queue after_full record, so the pool rewrite's win cannot
-# silently erode back even across re-baselines of the calqueue section.
+# The simulator gates are the calendar-queue number for SimFull and the
+# sorted-ring number for SimLite (the current baselines) PLUS a speedup
+# floor: SimFull must also hold >=1.2x the pre-calendar-queue after_full
+# record, so the pool rewrite's win cannot silently erode back even
+# across re-baselines of the calqueue section.
 # Re-baseline (re-run bench-sim / bench-pipeline and update the JSONs)
 # when a deliberate change moves the numbers. The span-overhead gate rides
 # along (span capture must cost <2% of same-run pipeline throughput), as
@@ -133,7 +136,7 @@ bench-all:
 	  ./benchgate -tolerance 0.10 \
 	    -expect 'BenchmarkSimFull=BENCH_sim.json:calqueue.full.inst_per_sec' \
 	    -expect 'BenchmarkSimFull=1.2*BENCH_sim.json:after_full.inst_per_sec' \
-	    -expect 'BenchmarkSimLite=BENCH_sim.json:calqueue.lite.inst_per_sec' \
+	    -expect 'BenchmarkSimLite=BENCH_sim.json:ring.lite.inst_per_sec' \
 	    -expect 'BenchmarkPipelineBuffered=BENCH_pipeline.json:before.inst_per_sec' \
 	    -expect 'BenchmarkPipelineStream=BENCH_pipeline.json:after.inst_per_sec'
 	$(MAKE) bench-spans
@@ -149,7 +152,7 @@ bench-all-smoke:
 	  ./benchgate -tolerance 0.95 \
 	    -expect 'BenchmarkSimFull=BENCH_sim.json:calqueue.full.inst_per_sec' \
 	    -expect 'BenchmarkSimFull=1.2*BENCH_sim.json:after_full.inst_per_sec' \
-	    -expect 'BenchmarkSimLite=BENCH_sim.json:calqueue.lite.inst_per_sec' \
+	    -expect 'BenchmarkSimLite=BENCH_sim.json:ring.lite.inst_per_sec' \
 	    -expect 'BenchmarkPipelineBuffered=BENCH_pipeline.json:before.inst_per_sec' \
 	    -expect 'BenchmarkPipelineStream=BENCH_pipeline.json:after.inst_per_sec' \
 	    -expect 'BenchmarkPipelineStreamPar=1.5*bench:BenchmarkPipelineStream' \

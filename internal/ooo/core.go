@@ -110,12 +110,13 @@ type Core struct {
 	fetchBW, decodeBW, renameBW, dispatchBW, commitBW *inorderBW
 	issueBW                                           *bwRing
 
-	// Capacity pools. The fetch queue is the one pool with monotone
-	// releases and an unobserved pop owner, so it gets the O(1) calendar
-	// pool; the rest must replay heap order exactly (see capPool).
-	rob, iq, lq, sq *capPool
-	intRF, fpRF     *capPool
-	fq              *fifoPool
+	// Back-end capacity pools of the run's mode (setMode). Full mode
+	// records a stalling pool's popped owner, so it replays heap order
+	// exactly; lite mode and the fetch queue read only popped times, so
+	// they use sorted rings (see capPool, ringPool).
+	heaps *pools[capPool]
+	rings *pools[ringPool]
+	fq    ringPool
 
 	// Execution units, indexed densely by uarch.Resource (only the four FU
 	// classes are populated; a map here would hash on every issue).
@@ -148,11 +149,26 @@ type Core struct {
 	// Per-run recording state: the arena the current record's annotations
 	// intern into — the whole trace's in Run, the current chunk's in
 	// RunStream — and whether this run elides the DEG-only annotations
-	// (probe-lite).
+	// (probe-lite), which also selects the ring pools.
 	arena *pipetrace.Arena
 	lite  bool
 
 	stats Stats
+}
+
+// pools is one recording mode's set of back-end capacity pools, indexed
+// by resource (ResROB through ResFpRF).
+type pools[P any] [uarch.ResFpRF + 1]P
+
+func newPools[P any](cfg uarch.Config, mk func(capacity int) P) *pools[P] {
+	return &pools[P]{
+		uarch.ResROB:   mk(cfg.ROBEntries),
+		uarch.ResIQ:    mk(cfg.IQEntries),
+		uarch.ResLQ:    mk(cfg.LQEntries),
+		uarch.ResSQ:    mk(cfg.SQEntries),
+		uarch.ResIntRF: mk(cfg.IntRF - isa.NumIntArchRegs),
+		uarch.ResFpRF:  mk(cfg.FpRF - isa.NumFpArchRegs),
+	}
 }
 
 type storeEntry struct {
@@ -198,13 +214,7 @@ func New(cfg uarch.Config) (*Core, error) {
 		dispatchBW:         newInorderBW(cfg.Width),
 		commitBW:           newInorderBW(cfg.Width),
 		issueBW:            newBWRing(cfg.Width, issueRingSlots(cfg)),
-		rob:                newCapPool(cfg.ROBEntries),
-		iq:                 newCapPool(cfg.IQEntries),
-		lq:                 newCapPool(cfg.LQEntries),
-		sq:                 newCapPool(cfg.SQEntries),
-		fq:                 newFIFOPool(cfg.FetchQueueUops),
-		intRF:              newCapPool(cfg.IntRF - isa.NumIntArchRegs),
-		fpRF:               newCapPool(cfg.FpRF - isa.NumFpArchRegs),
+		fq:                 newRingPool(cfg.FetchQueueUops),
 		ports:              newUnitPool(cfg.RdWrPorts),
 		storeBuf:           newStoreTable(),
 		refillFrom:         -1,
@@ -272,9 +282,11 @@ func (c *Core) run(stream []isa.Inst, lite bool) (*pipetrace.Trace, *Stats, erro
 	if len(stream) == 0 {
 		return nil, nil, fmt.Errorf("ooo: empty instruction stream")
 	}
+	if err := c.setMode(lite); err != nil {
+		return nil, nil, err
+	}
 	tr := pipetrace.GetTrace(len(stream))
 	c.arena = &tr.Arena
-	c.lite = lite
 
 	for seq := range stream {
 		in := &stream[seq]
@@ -291,6 +303,22 @@ func (c *Core) run(stream []isa.Inst, lite bool) (*pipetrace.Trace, *Stats, erro
 	c.finalizeStats(len(stream))
 	tr.Cycles = c.stats.Cycles
 	return tr, &c.stats, nil
+}
+
+// setMode sets the coming run's recording mode and builds that mode's
+// pool set on first use. Pool state carries over between runs, and a ring
+// keeps no owners for a heap to continue from, so a core runs one mode.
+func (c *Core) setMode(lite bool) error {
+	if (lite && c.heaps != nil) || (!lite && c.rings != nil) {
+		return fmt.Errorf("ooo: core already ran in the other recording mode; run lite and full simulations on separate cores")
+	}
+	c.lite = lite
+	if lite && c.rings == nil {
+		c.rings = newPools(c.cfg, newRingPool)
+	} else if !lite && c.heaps == nil {
+		c.heaps = newPools(c.cfg, newCapPool)
+	}
+	return nil
 }
 
 // finalizeStats fills the end-of-run counters after n committed
@@ -397,13 +425,22 @@ func (c *Core) rename(in *isa.Inst, rec *pipetrace.Record) {
 	ready := base
 
 	// Allocate every structure this instruction needs — ROB, IQ, LQ or SQ,
-	// and a rename file when it has a destination — directly, one call per
-	// pool. Deps are staged in a stack buffer and interned into the trace
-	// arena in one shot — no per-record slice allocation.
+	// and a rename file when it has a destination — one call per pool of
+	// the run mode's set. Deps are staged in a stack buffer and interned
+	// into the trace arena in one shot — no per-record slice allocation.
 	var depBuf [4]pipetrace.ResourceDep
 	deps := 0
-	take := func(t int64, owner int, res uarch.Resource) {
-		if t > base && owner >= 0 {
+	take := func(res uarch.Resource) {
+		var t int64
+		var owner int
+		if c.lite {
+			t = c.rings[res].alloc()
+		} else {
+			t, owner = c.heaps[res].alloc()
+		}
+		// Only a full pool pops, and base >= 1, so a time past base is a
+		// stall with a real owner; lite mode has no owner to record.
+		if t > base {
 			if !c.lite {
 				depBuf[deps] = pipetrace.ResourceDep{Resource: res, Producer: owner}
 				deps++
@@ -412,29 +449,19 @@ func (c *Core) rename(in *isa.Inst, rec *pipetrace.Record) {
 		}
 		ready = max(ready, t)
 	}
-	{
-		t, owner := c.rob.alloc()
-		take(t, owner, uarch.ResROB)
-	}
-	{
-		t, owner := c.iq.alloc()
-		take(t, owner, uarch.ResIQ)
-	}
+	take(uarch.ResROB)
+	take(uarch.ResIQ)
 	switch in.Class {
 	case isa.OpLoad:
-		t, owner := c.lq.alloc()
-		take(t, owner, uarch.ResLQ)
+		take(uarch.ResLQ)
 	case isa.OpStore:
-		t, owner := c.sq.alloc()
-		take(t, owner, uarch.ResSQ)
+		take(uarch.ResSQ)
 	}
 	if in.HasDest() {
 		if in.Dest.Float {
-			t, owner := c.fpRF.alloc()
-			take(t, owner, uarch.ResFpRF)
+			take(uarch.ResFpRF)
 		} else {
-			t, owner := c.intRF.alloc()
-			take(t, owner, uarch.ResIntRF)
+			take(uarch.ResIntRF)
 		}
 	}
 	if deps > 0 {
@@ -522,7 +549,11 @@ func (c *Core) schedule(in *isa.Inst, rec *pipetrace.Record) {
 	}
 	rec.Stamp[pipetrace.SI] = iss
 	c.stats.IssuedPerFU[spec.res]++
-	c.iq.free(iss+1, rec.Seq)
+	if c.lite {
+		c.rings[uarch.ResIQ].free(iss + 1)
+	} else {
+		c.heaps[uarch.ResIQ].free(iss+1, rec.Seq)
+	}
 
 	// Execution / memory access.
 	var done int64
@@ -582,23 +613,30 @@ func (c *Core) commit(in *isa.Inst, rec *pipetrace.Record) {
 	rec.Stamp[pipetrace.SC] = cc
 	c.lastC = cc
 
-	c.rob.free(cc+1, rec.Seq)
+	release := func(res uarch.Resource, t int64) {
+		if c.lite {
+			c.rings[res].free(t)
+		} else {
+			c.heaps[res].free(t, rec.Seq)
+		}
+	}
+	release(uarch.ResROB, cc+1)
 	if in.HasDest() {
 		if in.Dest.Float {
-			c.fpRF.free(cc+1, rec.Seq)
+			release(uarch.ResFpRF, cc+1)
 		} else {
-			c.intRF.free(cc+1, rec.Seq)
+			release(uarch.ResIntRF, cc+1)
 		}
 	}
 	switch in.Class {
 	case isa.OpLoad:
-		c.lq.free(cc+1, rec.Seq)
+		release(uarch.ResLQ, cc+1)
 	case isa.OpStore:
 		// The store drains to the D$ after commit through the write
 		// buffer, holding its SQ entry for the duration of the access.
 		drain := cc + 1 // write buffer has its own D$ write port
 		lat := int64(c.hier.DataLatency(in.Addr))
-		c.sq.free(drain+lat, rec.Seq)
+		release(uarch.ResSQ, drain+lat)
 		c.storeBuf.put(in.Addr&^7, storeEntry{
 			seq:    rec.Seq,
 			pReady: rec.Stamp[pipetrace.SP],

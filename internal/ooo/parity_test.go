@@ -109,44 +109,115 @@ func TestSeedParity(t *testing.T) {
 	}
 }
 
+// floorConfig sits every capacity pool and the fetch queue at its
+// Validate minimum, so each pool pops on nearly every allocation.
+func floorConfig() uarch.Config {
+	cfg := uarch.Baseline()
+	cfg.FetchQueueUops = 1
+	cfg.ROBEntries = 4
+	cfg.IQEntries = 2
+	cfg.LQEntries = 2
+	cfg.SQEntries = 2
+	cfg.IntRF = 34
+	cfg.FpRF = 34
+	return cfg
+}
+
 // TestLiteParity asserts probe-lite mode changes only what it promises to:
 // stage stamps, latencies, and Stats are byte-identical to a full run, while
 // the DEG annotations (resource deps, producers, mispredict blame) are
-// elided entirely.
+// elided entirely. Lite mode runs its back-end pools as sorted rings and
+// full mode as heaps, so the configs include capacity-starved ones where
+// those pools pop, and the test fails if some pool never stalls rename
+// anywhere in the set.
 func TestLiteParity(t *testing.T) {
+	configs := []struct {
+		name string
+		cfg  uarch.Config
+	}{{"baseline", uarch.Baseline()}, {"tight", tightConfig()}, {"floor", floorConfig()}}
+	var stalls [uarch.NumResources]uint64
 	for _, name := range parityWorkloads {
 		t.Run(name, func(t *testing.T) {
-			full, fullSt := runParityWorkload(t, name, uarch.Baseline(), false)
-			lite, liteSt := runParityWorkload(t, name, uarch.Baseline(), true)
+			for _, c := range configs {
+				t.Run(c.name, func(t *testing.T) {
+					full, fullSt := runParityWorkload(t, name, c.cfg, false)
+					lite, liteSt := runParityWorkload(t, name, c.cfg, true)
+					for r, n := range liteSt.RenameStalls {
+						stalls[r] += n
+					}
 
-			if *fullSt != *liteSt {
-				t.Errorf("stats diverge between full and lite:\nfull %+v\nlite %+v", *fullSt, *liteSt)
-			}
-			if full.Cycles != lite.Cycles {
-				t.Errorf("cycles diverge: full %d, lite %d", full.Cycles, lite.Cycles)
-			}
-			if len(full.Records) != len(lite.Records) {
-				t.Fatalf("record count diverges: full %d, lite %d", len(full.Records), len(lite.Records))
-			}
-			for i := range full.Records {
-				f, l := &full.Records[i], &lite.Records[i]
-				if f.Stamp != l.Stamp {
-					t.Fatalf("rec %d: stamps diverge\nfull %v\nlite %v", i, f.Stamp, l.Stamp)
-				}
-				if f.ICacheLat != l.ICacheLat || f.DCacheLat != l.DCacheLat ||
-					f.ExecLat != l.ExecLat || f.Mispredicted != l.Mispredicted {
-					t.Fatalf("rec %d: latencies/outcomes diverge", i)
-				}
-				if len(l.ResourceDeps) != 0 || len(l.DataProducers) != 0 {
-					t.Fatalf("rec %d: lite run recorded annotations: deps=%v prods=%v",
-						i, l.ResourceDeps, l.DataProducers)
-				}
-				if l.FUProducer != -1 || l.PortProducer != -1 || l.MispredictFrom != -1 {
-					t.Fatalf("rec %d: lite run recorded producer blame: fu=%d port=%d bp=%d",
-						i, l.FUProducer, l.PortProducer, l.MispredictFrom)
-				}
+					if *fullSt != *liteSt {
+						t.Errorf("stats diverge between full and lite:\nfull %+v\nlite %+v", *fullSt, *liteSt)
+					}
+					if full.Cycles != lite.Cycles {
+						t.Errorf("cycles diverge: full %d, lite %d", full.Cycles, lite.Cycles)
+					}
+					if len(full.Records) != len(lite.Records) {
+						t.Fatalf("record count diverges: full %d, lite %d", len(full.Records), len(lite.Records))
+					}
+					for i := range full.Records {
+						f, l := &full.Records[i], &lite.Records[i]
+						if f.Stamp != l.Stamp {
+							t.Fatalf("rec %d: stamps diverge\nfull %v\nlite %v", i, f.Stamp, l.Stamp)
+						}
+						if f.ICacheLat != l.ICacheLat || f.DCacheLat != l.DCacheLat ||
+							f.ExecLat != l.ExecLat || f.Mispredicted != l.Mispredicted {
+							t.Fatalf("rec %d: latencies/outcomes diverge", i)
+						}
+						if len(l.ResourceDeps) != 0 || len(l.DataProducers) != 0 {
+							t.Fatalf("rec %d: lite run recorded annotations: deps=%v prods=%v",
+								i, l.ResourceDeps, l.DataProducers)
+						}
+						if l.FUProducer != -1 || l.PortProducer != -1 || l.MispredictFrom != -1 {
+							t.Fatalf("rec %d: lite run recorded producer blame: fu=%d port=%d bp=%d",
+								i, l.FUProducer, l.PortProducer, l.MispredictFrom)
+						}
+					}
+				})
 			}
 		})
+	}
+	for _, r := range []uarch.Resource{uarch.ResROB, uarch.ResIQ, uarch.ResLQ, uarch.ResSQ, uarch.ResIntRF, uarch.ResFpRF} {
+		if stalls[r] == 0 {
+			t.Errorf("no config stalled rename on %v: the %v pool never popped, so its parity is untested", r, r)
+		}
+	}
+}
+
+// TestCoreRunsOneMode pins that a core refuses to switch recording mode:
+// its pools carry state between runs, and the lite rings keep no owners to
+// continue in the full-mode heaps (or the reverse).
+func TestCoreRunsOneMode(t *testing.T) {
+	stream := batchStreamFor(t, "429.mcf")
+	sink := func(c *pipetrace.Chunk) error { c.Release(); return nil }
+	full, err := New(uarch.Baseline())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, _, err := full.Run(stream[:100])
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Release()
+	if _, err := full.RunStream(stream[100:200], 0, sink); err != nil {
+		t.Fatalf("RunStream after Run (both full mode): %v", err)
+	}
+	if tr, _, err := full.RunLite(stream[200:300]); err == nil || tr != nil {
+		t.Error("RunLite on a core that ran full mode was accepted")
+	}
+	lite, err := New(uarch.Baseline())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr, _, err = lite.RunLite(stream[:100]); err != nil {
+		t.Fatal(err)
+	}
+	tr.Release()
+	if tr, _, err := lite.Run(stream[100:200]); err == nil || tr != nil {
+		t.Error("Run on a core that ran lite mode was accepted")
+	}
+	if _, err := lite.RunStream(stream[100:200], 0, sink); err == nil {
+		t.Error("RunStream on a core that ran lite mode was accepted")
 	}
 }
 

@@ -187,52 +187,47 @@ func FuzzCapPoolParity(f *testing.F) {
 	})
 }
 
-// TestFIFOPoolMatchesHeap checks the calendar pool against the heap shadow
-// under the fetch queue's actual invariant — monotone non-decreasing
-// release times — where the minimum is always the oldest entry and the
-// two structures must agree on every popped time.
-func TestFIFOPoolMatchesHeap(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for _, capacity := range []int{1, 2, 7, 32} {
-		fifo := newFIFOPool(capacity)
-		ref := &refCapPool{capacity: capacity}
-		clock := int64(0)
-		pending := 0
-		for i := 0; i < 4096; i++ {
-			if pending < capacity && rng.Intn(3) > 0 {
-				clock += int64(rng.Intn(3))
-				fifo.free(clock)
-				ref.free(clock, i)
-				pending++
+// FuzzRingPoolParity holds the times-only ring to the heap it stands in
+// for: arbitrary byte strings decode into alloc/free interleavings with
+// non-monotone release times over a fuzzer-chosen capacity, and every time
+// the ring pops must equal the time capPool pops. Owners are not compared:
+// the ring keeps none, which is why only owner-blind pools use it.
+//
+// Byte encoding: byte 0 picks the capacity (1..128, so 1 and non-powers of
+// two occur). Each following byte b is one op: b&1 selects free (1) or
+// alloc (0); for frees, b>>1 is a time delta in [-15, 48] against a
+// running clock, so duplicate times and out-of-order releases both occur,
+// and runs of frees push the ring past its initial size.
+func FuzzRingPoolParity(f *testing.F) {
+	f.Add([]byte{0, 31, 0, 31, 29, 0, 0})                           // capacity 1: fill, pop, refill earlier
+	f.Add([]byte{4, 31, 1, 61, 31, 3, 0, 0, 31, 0, 0})              // capacity 5: out-of-order frees, drain
+	f.Add([]byte{2, 31, 31, 31, 31, 31, 31, 31, 31, 31, 0, 1, 0})   // frees past the ring: growth
+	f.Add([]byte{47, 41, 1, 41, 3, 0, 41, 0, 1, 0, 0, 97, 5, 0, 0}) // capacity 48: SQ-like jitter
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		capacity := int(data[0])%128 + 1
+		got := newRingPool(capacity)
+		want := newCapPool(capacity)
+		clock := int64(1 << 20) // headroom so negative deltas stay positive
+		for i, b := range data[1:] {
+			if b&1 == 1 {
+				clock += int64(b>>1) - 15
+				got.free(clock)
+				want.free(clock, i)
 				continue
 			}
-			// An alloc only consumes an entry when the pool is full — the
-			// sim's contract, which is also what keeps len <= capacity.
-			popped := pending == capacity
-			gt := fifo.alloc()
-			wt, _ := ref.alloc()
+			gt := got.alloc()
+			wt, _ := want.alloc()
 			if gt != wt {
-				t.Fatalf("capacity %d op %d: fifo alloc %d, heap reference %d", capacity, i, gt, wt)
-			}
-			if popped {
-				pending--
+				t.Fatalf("op %d (capacity %d): ring alloc = %d, heap alloc = %d", i, capacity, gt, wt)
 			}
 		}
-	}
-}
-
-// TestFIFOPoolRejectsNonMonotone pins the loud-failure contract: a release
-// earlier than its predecessor would silently un-sort the ring, so it must
-// panic instead.
-func TestFIFOPoolRejectsNonMonotone(t *testing.T) {
-	p := newFIFOPool(4)
-	p.free(10)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-order fifoPool release did not panic")
+		if got.n != len(want.times) {
+			t.Fatalf("capacity %d: ring holds %d entries, heap %d", capacity, got.n, len(want.times))
 		}
-	}()
-	p.free(9)
+	})
 }
 
 // TestBWRingGrowthExact forces collisions on a deliberately tiny ring and

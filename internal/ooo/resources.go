@@ -19,7 +19,10 @@
 // understates misprediction cost but preserves its critical-path structure.
 package ooo
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // freeEvent is one resource entry becoming available. The hot capPool
 // stores times and owners in parallel arrays; this struct form is the
@@ -35,30 +38,31 @@ type freeEvent struct {
 // arbitrary times. Allocation takes the earliest-free entry; if the pool is
 // not yet full the allocation is unconstrained.
 //
-// The pool IS a binary min-heap over time — and has to be. The obvious
-// faster structure, a calendar/bucket queue popping same-time events in a
-// value-defined order (FIFO, or lowest owner first), is observably wrong:
-// which same-time entry pops is structure-dependent in container/heap, the
-// popped owner feeds the producer annotations whenever the pool is the
-// stall reason, and on the parity corpus ~30% of those stall-visible pops
-// disagree between heap order and any per-bucket value order (measured;
-// see DESIGN.md §15). So the layout evolution of the seed's container/heap
-// is transcribed exactly, and the speedup is taken inside the
-// transcription instead: times and owners live in parallel arrays so the
-// sift's compare chain walks a dense 8-byte lane, and both sifts carry the
-// moving element through a hole (one store per level) instead of swapping
-// (four 16-byte moves per level). Equivalence is pinned three ways: the
-// inductive argument in DESIGN.md §15, the differential fuzzer
-// (FuzzCapPoolParity) against a live container/heap shadow, and the seed
-// fingerprints.
+// The pool IS a binary min-heap over time — and has to be wherever the
+// popped owner is read (full mode; lite mode and the fetch queue read only
+// times and use ringPool). A calendar/bucket queue popping same-time
+// events in a value-defined order (FIFO, or lowest owner first) is
+// observably wrong there: which same-time entry pops is structure-
+// dependent in container/heap, the popped owner feeds the producer
+// annotations whenever the pool is the stall reason, and on the parity
+// corpus ~30% of those stall-visible pops disagree between heap order and
+// any per-bucket value order (measured; see DESIGN.md §15). So the layout
+// evolution of the seed's container/heap is transcribed exactly, and the
+// speedup is taken inside the transcription instead: times and owners live
+// in parallel arrays so the sift's compare chain walks a dense 8-byte
+// lane, and both sifts carry the moving element through a hole (one store
+// per level) instead of swapping (four 16-byte moves per level).
+// Equivalence is pinned three ways: the inductive argument in DESIGN.md
+// §15, the differential fuzzer (FuzzCapPoolParity) against a live
+// container/heap shadow, and the seed fingerprints.
 type capPool struct {
 	capacity int
 	times    []int64 // heap-ordered release cycles
 	owners   []int   // owners[i] released the entry freeing at times[i]
 }
 
-func newCapPool(capacity int) *capPool {
-	return &capPool{
+func newCapPool(capacity int) capPool {
+	return capPool{
 		capacity: capacity,
 		times:    make([]int64, 0, capacity),
 		owners:   make([]int, 0, capacity),
@@ -127,41 +131,36 @@ func (p *capPool) free(tm int64, owner int) {
 	p.times, p.owners = t, o
 }
 
-// fifoPool is the calendar-queue capacity pool for structures whose two
-// extra invariants make the heap unnecessary: release times arrive in
-// non-decreasing order (the releasing stage is in-order), and the popped
-// owner is never observed by any caller. Under monotone insertion the
-// multiset minimum is simply the oldest entry, so alloc reads a ring
-// cursor — O(1), no sift — and stays bit-exact with the heap on the only
-// field it exposes, the release time. The fetch queue qualifies: decode
-// frees it at the in-order DC+1 cycle, and fetch discards the owner (fetch
-// stalls are attributed through the F stamps themselves, not through a
-// pool annotation).
-//
-// Both invariants are enforced, not assumed: free panics on a
-// non-monotone release (which would silently un-sort the ring), and alloc
-// does not return an owner at all, so a future caller that needs one
-// cannot compile against this type.
-type fifoPool struct {
-	times    []int64 // power-of-two ring of release cycles, oldest at head
+// ringPool is the times-only capacity pool for pools whose popped owner
+// nobody reads: the fetch queue in every mode (fetch stalls are charged
+// through the F stamps) and the six back-end pools in lite mode. It is a
+// power-of-two ring of release cycles kept sorted from the head, so alloc
+// pops the minimum for any release order — the times capPool pops, bit for
+// bit (FuzzRingPoolParity); only the owner order among equal times, which
+// it does not keep, could differ. free inserts from the tail, shifting
+// back past later entries: commit-order releases (ROB, LQ and rename
+// files at cc+1, the fetch queue at dc+1; both clocks never decrease)
+// append without shifting, and IQ (issue+1) and SQ (drain+latency)
+// releases shift at most the capacity.
+type ringPool struct {
+	times    []int64 // ring of release cycles, ascending from head
 	mask     int
 	head     int
 	n        int
 	capacity int
-	last     int64 // newest release accepted, for the monotone check
 }
 
-func newFIFOPool(capacity int) *fifoPool {
+func newRingPool(capacity int) ringPool {
 	size := 1
 	for size < capacity {
 		size <<= 1
 	}
-	return &fifoPool{times: make([]int64, size), mask: size - 1, capacity: capacity}
+	return ringPool{times: make([]int64, size), mask: size - 1, capacity: capacity}
 }
 
 // alloc reserves one entry and returns the earliest cycle it is available
 // (0 when the pool is not yet full, i.e. unconstrained).
-func (p *fifoPool) alloc() int64 {
+func (p *ringPool) alloc() int64 {
 	if p.n < p.capacity {
 		return 0
 	}
@@ -171,18 +170,23 @@ func (p *fifoPool) alloc() int64 {
 	return t
 }
 
-// free registers one entry release at time t. Releases must be
-// non-decreasing in t — that is what lets alloc pop a cursor instead of
-// sifting a heap — and the pool fails loudly if the contract breaks.
-func (p *fifoPool) free(t int64) {
-	if t < p.last {
-		panic(fmt.Sprintf("ooo: fifoPool release out of order: %d after %d (in-order release contract broken)", t, p.last))
+// free registers one entry release at time t.
+func (p *ringPool) free(t int64) {
+	if p.n == len(p.times) {
+		// Full: unroll into a ring twice the size. The simulator never
+		// frees past capacity; this keeps capPool's unbounded contract.
+		p.times = slices.Concat(p.times[p.head:], p.times[:p.head], make([]int64, p.n))
+		p.mask, p.head = len(p.times)-1, 0
 	}
-	if p.n > p.mask {
-		panic(fmt.Sprintf("ooo: fifoPool overflow: %d live entries exceed ring for capacity %d", p.n+1, p.capacity))
+	i := p.head + p.n
+	for ; i > p.head; i-- {
+		prev := p.times[(i-1)&p.mask]
+		if prev <= t {
+			break
+		}
+		p.times[i&p.mask] = prev
 	}
-	p.last = t
-	p.times[(p.head+p.n)&p.mask] = t
+	p.times[i&p.mask] = t
 	p.n++
 }
 

@@ -41,9 +41,11 @@ func (c *Core) RunStream(stream []isa.Inst, chunkSize int, sink func(*pipetrace.
 		chunkSize = DefaultChunkSize
 	}
 
+	if err := c.setMode(false); err != nil {
+		return nil, err
+	}
 	chunk := pipetrace.GetChunk(chunkSize)
 	c.arena = &chunk.Arena
-	c.lite = false
 	flush := func() error {
 		err := sink(chunk)
 		chunk = nil
