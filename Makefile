@@ -35,10 +35,13 @@ test:
 
 # The determinism tests also run at several GOMAXPROCS values, so the
 # worker-count and journal claims are exercised on every host rather than
-# only where the core count happens to differ from the reference.
+# only where the core count happens to differ from the reference. So do
+# the core-reuse tests: concurrent Acquire/run/Release through the shared
+# core pool, and Stats that must survive their core's recycling.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,2,4 -run 'Determinism|Parity|Parallel' ./internal/deg ./internal/dse
+	$(GO) test -race -cpu 1,2,4 -run 'Reuse' ./internal/ooo
 
 cover:
 	@set -e; \
@@ -56,13 +59,15 @@ cover:
 	check conformance $(COVER_MIN_CONFORMANCE)
 
 # A short randomized pass over the campaign-file reader, the engine
-# conformance check, and the two capacity-pool differentials (the heap
+# conformance check, the two capacity-pool differentials (the heap
 # transcription must pop bit-identically to container/heap, and the
-# times-only ring must pop the heap's times), on top of the checked-in
-# seed corpora that `make test` already replays.
+# times-only ring must pop the heap's times), and the cache reset
+# differential (a dirtied, reset cache must behave like a new one), on top
+# of the checked-in seed corpora that `make test` already replays.
 fuzz-seeds:
 	$(GO) test -fuzz=FuzzRead -fuzztime=10s ./internal/persist/
 	$(GO) test -fuzz=FuzzConformance -fuzztime=10s ./internal/conformance/
+	$(GO) test -fuzz=FuzzCacheResetParity -fuzztime=10s ./internal/cache/
 	$(GO) test -fuzz=FuzzCapPoolParity -fuzztime=10s ./internal/ooo/
 	$(GO) test -fuzz=FuzzRingPoolParity -fuzztime=10s ./internal/ooo/
 

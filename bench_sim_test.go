@@ -7,11 +7,16 @@
 //
 //	make bench-sim       # both benchmarks, -benchmem
 //	make profile-sim     # CPU profile of BenchmarkSimFull → sim.pprof
+//
+// BenchmarkCoreSetup measures what one simulation pays before its first
+// instruction: building a core (ooo.New) against resetting a released one
+// (ooo.Acquire); BENCH_sim.json's "reuse" section records it.
 package archexplorer
 
 import (
 	"testing"
 
+	"archexplorer/internal/conformance"
 	"archexplorer/internal/isa"
 	"archexplorer/internal/ooo"
 	"archexplorer/internal/uarch"
@@ -65,3 +70,33 @@ func BenchmarkSimFull(b *testing.B) { benchSim(b, false) }
 // BenchmarkSimLite is the probe-lite variant: identical timing model, no
 // annotation recording (what EvaluateBatch(..., withDEG=false) runs).
 func BenchmarkSimLite(b *testing.B) { benchSim(b, true) }
+
+// BenchmarkCoreSetup is the per-simulation core setup over 64 random Table
+// 4 configs (fixed seed), cycled so consecutive cores differ the way a
+// campaign's do: new builds each core from scratch, reuse resets the one
+// the previous iteration released.
+func BenchmarkCoreSetup(b *testing.B) {
+	gen := conformance.NewGen(1)
+	cfgs := make([]uarch.Config, 64)
+	for i := range cfgs {
+		cfgs[i] = gen.Config()
+	}
+	b.Run("new", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := ooo.New(cfgs[i%len(cfgs)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("reuse", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			core, err := ooo.Acquire(cfgs[i%len(cfgs)])
+			if err != nil {
+				b.Fatal(err)
+			}
+			core.Release()
+		}
+	})
+}

@@ -68,26 +68,50 @@ type Predictor struct {
 
 // New constructs a predictor; table sizes must be powers of two.
 func New(cfg Config) (*Predictor, error) {
+	p := new(Predictor)
+	if err := p.Reset(cfg); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// Reset returns the predictor to New(cfg)'s state in place: every table,
+// the history, the RAS and the statistics are cleared, and a table whose
+// backing array is large enough is reused. An invalid cfg leaves the
+// predictor untouched.
+func (p *Predictor) Reset(cfg Config) error {
 	for _, s := range []struct {
 		name string
 		v    int
 	}{{"LocalEntries", cfg.LocalEntries}, {"GlobalEntries", cfg.GlobalEntries}, {"BTBEntries", cfg.BTBEntries}} {
 		if s.v < 2 || s.v&(s.v-1) != 0 {
-			return nil, fmt.Errorf("bpred: %s=%d must be a power of two >= 2", s.name, s.v)
+			return fmt.Errorf("bpred: %s=%d must be a power of two >= 2", s.name, s.v)
 		}
 	}
 	if cfg.RASEntries < 1 {
-		return nil, fmt.Errorf("bpred: RASEntries=%d must be >= 1", cfg.RASEntries)
+		return fmt.Errorf("bpred: RASEntries=%d must be >= 1", cfg.RASEntries)
 	}
-	return &Predictor{
+	*p = Predictor{
 		cfg:       cfg,
-		localHist: make([]uint16, cfg.LocalEntries),
-		localCtr:  make([]counter, cfg.LocalEntries),
-		globalCtr: make([]counter, cfg.GlobalEntries),
-		choiceCtr: make([]counter, cfg.GlobalEntries),
-		btb:       make([]btbEntry, cfg.BTBEntries),
-		ras:       make([]uint64, cfg.RASEntries),
-	}, nil
+		localHist: zeroed(p.localHist, cfg.LocalEntries),
+		localCtr:  zeroed(p.localCtr, cfg.LocalEntries),
+		globalCtr: zeroed(p.globalCtr, cfg.GlobalEntries),
+		choiceCtr: zeroed(p.choiceCtr, cfg.GlobalEntries),
+		btb:       zeroed(p.btb, cfg.BTBEntries),
+		ras:       zeroed(p.ras, cfg.RASEntries),
+	}
+	return nil
+}
+
+// zeroed returns s resliced to n zero elements, reallocating only when its
+// capacity is short.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // Snapshot captures the speculative predictor state needed to recover from
@@ -245,10 +269,6 @@ func (p *Predictor) Train(pc uint64, kind isa.BranchKind, taken bool, target uin
 		p.btb[idx] = btbEntry{valid: true, tag: pc, target: target}
 	}
 }
-
-// GlobalHist exposes the current speculative global history (used by the
-// core to remember the history at prediction time for training).
-func (p *Predictor) GlobalHist() uint64 { return p.globalHist }
 
 func boolBit(b bool) uint64 {
 	if b {

@@ -146,14 +146,14 @@ func TestBTBMissForcesNotTaken(t *testing.T) {
 
 func TestRecoverRestoresHistory(t *testing.T) {
 	p := newPred(t)
-	h0 := p.GlobalHist()
+	h0 := p.globalHist
 	pred := p.Predict(0x100, isa.BrCond)
-	if p.GlobalHist() == h0<<1 && pred.Taken {
+	if p.globalHist == h0<<1 && pred.Taken {
 		// speculative update happened; fine either way
 	}
 	p.Recover(pred.Snap, isa.BrCond, true)
-	if p.GlobalHist() != h0<<1|1 {
-		t.Fatalf("recover+actual: hist %b, want %b", p.GlobalHist(), h0<<1|1)
+	if p.globalHist != h0<<1|1 {
+		t.Fatalf("recover+actual: hist %b, want %b", p.globalHist, h0<<1|1)
 	}
 }
 

@@ -78,6 +78,30 @@ func New(cfg Config) (*Cache, error) {
 	return c, nil
 }
 
+// Reset empties the cache in place: it behaves exactly like New with the
+// same geometry. Tags and prefetch tags go stale behind cleared valid bits
+// (every fill rewrites both), and the LRU ranks are left as they are: a
+// victim is chosen by rank only when every way of its set is valid, and by
+// then every way has been filled or hit — touched — since the reset. A
+// touch moves its way to rank 0 and keeps the relative order of the
+// others, so once all ways are touched the ranks are their recency order
+// whatever permutation they started from (FuzzCacheResetParity pins this
+// against a fresh cache).
+func (c *Cache) Reset() {
+	clear(c.valid)
+	c.Accesses, c.Misses, c.HitOnPrefetch = 0, 0, false
+}
+
+// renew resets c in place when it has cfg's geometry and builds a new
+// cache otherwise (c may be nil).
+func renew(c *Cache, cfg Config) (*Cache, error) {
+	if c != nil && c.assoc == cfg.Assoc && len(c.tags) == cfg.SizeKB*1024/LineBytes {
+		c.Reset()
+		return c, nil
+	}
+	return New(cfg)
+}
+
 // Access looks up addr, filling the line on a miss, and reports whether the
 // access hit. HitOnPrefetch is set when the hit consumed a prefetched line
 // for the first time (the hierarchy re-arms the prefetcher on that signal).
@@ -155,21 +179,23 @@ type Hierarchy struct {
 	Prefetches uint64
 }
 
-// NewHierarchy builds the full memory system for one design point.
-func NewHierarchy(l1i, l1d Config) (*Hierarchy, error) {
-	ic, err := New(l1i)
-	if err != nil {
-		return nil, fmt.Errorf("L1I: %w", err)
+// Reset sets the hierarchy up, empty, for a new design point; a zero
+// Hierarchy is built by it. The fixed L2, and an L1 whose size and
+// associativity are unchanged, are emptied in place; any other L1 is built
+// anew.
+func (h *Hierarchy) Reset(l1i, l1d Config) error {
+	var err error
+	if h.L1I, err = renew(h.L1I, l1i); err != nil {
+		return fmt.Errorf("L1I: %w", err)
 	}
-	dc, err := New(l1d)
-	if err != nil {
-		return nil, fmt.Errorf("L1D: %w", err)
+	if h.L1D, err = renew(h.L1D, l1d); err != nil {
+		return fmt.Errorf("L1D: %w", err)
 	}
-	l2, err := New(Config{SizeKB: L2SizeKB, Assoc: L2Assoc})
-	if err != nil {
-		return nil, fmt.Errorf("L2: %w", err)
+	if h.L2, err = renew(h.L2, Config{SizeKB: L2SizeKB, Assoc: L2Assoc}); err != nil {
+		return fmt.Errorf("L2: %w", err)
 	}
-	return &Hierarchy{L1I: ic, L1D: dc, L2: l2}, nil
+	h.Prefetches = 0
+	return nil
 }
 
 // FetchLatency returns the cycles to fetch the instruction line at addr.

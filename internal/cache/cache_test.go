@@ -80,8 +80,8 @@ func TestMissRate(t *testing.T) {
 }
 
 func TestHierarchyLatencies(t *testing.T) {
-	h, err := NewHierarchy(Config{SizeKB: 32, Assoc: 2}, Config{SizeKB: 32, Assoc: 2})
-	if err != nil {
+	h := new(Hierarchy)
+	if err := h.Reset(Config{SizeKB: 32, Assoc: 2}, Config{SizeKB: 32, Assoc: 2}); err != nil {
 		t.Fatal(err)
 	}
 	addr := uint64(0x100000)
@@ -103,8 +103,8 @@ func TestHierarchyLatencies(t *testing.T) {
 }
 
 func TestTaggedPrefetchCoversStreams(t *testing.T) {
-	h, err := NewHierarchy(Config{SizeKB: 32, Assoc: 2}, Config{SizeKB: 32, Assoc: 2})
-	if err != nil {
+	h := new(Hierarchy)
+	if err := h.Reset(Config{SizeKB: 32, Assoc: 2}, Config{SizeKB: 32, Assoc: 2}); err != nil {
 		t.Fatal(err)
 	}
 	// Stream 512 lines at 8-byte stride: after the first miss the tagged
@@ -145,5 +145,94 @@ func TestPrefetchDoesNotPerturbStats(t *testing.T) {
 	}
 	if c.Accesses != 0 || c.Misses != 0 {
 		t.Fatalf("Install perturbed stats: %d/%d", c.Accesses, c.Misses)
+	}
+}
+
+// resetGeometries are the cache shapes FuzzCacheResetParity checks: small
+// L1s from direct-mapped to 8-way, and the fixed L2.
+var resetGeometries = []Config{
+	{SizeKB: 1, Assoc: 1}, {SizeKB: 1, Assoc: 2}, {SizeKB: 2, Assoc: 4},
+	{SizeKB: 32, Assoc: 8}, {SizeKB: L2SizeKB, Assoc: L2Assoc},
+}
+
+// resetOpAddr decodes one fuzz byte into an access (or, with the low bit
+// set, a prefetch install) of one of 32 lines in each of four sets, so
+// sets overflow their ways and evict at every geometry.
+func resetOpAddr(c *Cache, b byte) (addr uint64, install bool) {
+	set, tag := uint64(b>>1)&3, uint64(b>>3)
+	return (tag*(c.setMask+1) + set) << lineShift, b&1 == 1
+}
+
+// FuzzCacheResetParity pins Reset against New: a cache dirtied by an
+// arbitrary access/install sequence and then reset must agree with a fresh
+// cache of the same geometry on every hit/miss, every HitOnPrefetch and the
+// counters over a second arbitrary sequence. Reset leaves the LRU ranks as
+// the dirt left them, so this is also the check on the argument that ranks
+// decide a victim only once every way has been touched since the reset.
+func FuzzCacheResetParity(f *testing.F) {
+	f.Add([]byte{0, 8, 16, 24, 32, 40, 48, 56, 64, 1, 9}, []byte{0, 8, 16, 24, 0, 72, 8, 80, 3, 2}, uint8(1))
+	f.Add([]byte{1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25}, []byte{2, 0, 10, 8, 18, 16, 0, 26, 24, 34, 32, 8}, uint8(4))
+	f.Add([]byte{255, 254, 127, 126, 0, 1, 2, 3}, []byte{1, 0, 0, 9, 8, 8, 17, 16, 16, 0}, uint8(2))
+	f.Add([]byte{}, []byte{0, 8, 0, 16, 0, 24, 0, 32, 8}, uint8(3))
+	f.Fuzz(func(t *testing.T, dirt, ops []byte, geom uint8) {
+		cfg := resetGeometries[int(geom)%len(resetGeometries)]
+		fresh, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reused, _ := New(cfg)
+		for _, b := range dirt {
+			if addr, install := resetOpAddr(reused, b); install {
+				reused.Install(addr)
+			} else {
+				reused.Access(addr)
+			}
+		}
+		reused.Reset()
+		for i, b := range ops {
+			addr, install := resetOpAddr(fresh, b)
+			if install {
+				fresh.Install(addr)
+				reused.Install(addr)
+				continue
+			}
+			want, got := fresh.Access(addr), reused.Access(addr)
+			if got != want || reused.HitOnPrefetch != fresh.HitOnPrefetch {
+				t.Fatalf("%+v op %d (%#x): reset cache hit=%v prefetch=%v, fresh hit=%v prefetch=%v",
+					cfg, i, addr, got, reused.HitOnPrefetch, want, fresh.HitOnPrefetch)
+			}
+		}
+		if reused.Accesses != fresh.Accesses || reused.Misses != fresh.Misses || reused.HitOnPrefetch != fresh.HitOnPrefetch {
+			t.Fatalf("%+v: reset cache counts %d/%d, fresh %d/%d", cfg,
+				reused.Accesses, reused.Misses, fresh.Accesses, fresh.Misses)
+		}
+	})
+}
+
+// TestHierarchyResetKeepsGeometry: Reset keeps the L2 and an L1 of
+// unchanged geometry (emptied), and rebuilds an L1 whose geometry changed.
+func TestHierarchyResetKeepsGeometry(t *testing.T) {
+	l1 := Config{SizeKB: 32, Assoc: 2}
+	h := new(Hierarchy)
+	if err := h.Reset(l1, l1); err != nil {
+		t.Fatal(err)
+	}
+	h.FetchLatency(0x4000)
+	h.DataLatency(0x8000)
+	i, d, l2 := h.L1I, h.L1D, h.L2
+	if err := h.Reset(l1, Config{SizeKB: 64, Assoc: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if h.L1I != i || h.L2 != l2 || h.L1D == d {
+		t.Fatal("Reset rebuilt a cache of unchanged geometry or kept one whose geometry changed")
+	}
+	if h.Prefetches != 0 || h.L1I.Accesses != 0 || h.L2.Accesses != 0 || h.L2.Misses != 0 {
+		t.Fatal("Reset left counters behind")
+	}
+	if lat := h.FetchLatency(0x4000); lat != L1HitLatency+L2HitLatency+DRAMLatency {
+		t.Fatalf("fetch after Reset took %d cycles, want a cold miss", lat)
+	}
+	if err := h.Reset(l1, Config{SizeKB: 3, Assoc: 7}); err == nil {
+		t.Fatal("Reset accepted an invalid L1D geometry")
 	}
 }

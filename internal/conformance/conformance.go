@@ -1,7 +1,8 @@
 // Package conformance is the differential-testing harness over the
 // simulator's execution engines and the bottleneck analyzers that consume
 // them: the reference full-fidelity run (Core.Run), probe-lite
-// (Core.RunLite), streaming (Core.RunStream), the pooled whole-trace DEG
+// (Core.RunLite), streaming (Core.RunStream), all three on recycled cores
+// (ooo.Acquire after another config's run), the pooled whole-trace DEG
 // kernel (deg.AnalyzeWindowed with no window), and parallel windowed DEG
 // analysis (deg.AnalyzeWindowed with Workers > 1). All of them implement
 // one timing-and-attribution model, so for any (config, stream) pair they
@@ -28,6 +29,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 
 	"archexplorer/internal/deg"
 	"archexplorer/internal/isa"
@@ -67,7 +69,7 @@ func (g *Gen) Config() uarch.Config { return g.Space.Decode(g.Point()) }
 // Mismatch is one engine disagreement: the named engine's fingerprint
 // diverged from the per-config reference run on this (config, workload).
 type Mismatch struct {
-	Engine    string // "lite", "stream", "deg", "deg-par"
+	Engine    string // "lite", "stream", "reuse", "deg", "deg-par"
 	Workload  string
 	Config    uarch.Config
 	Want, Got uint64 // reference and diverging fingerprints (0 for the deg engines)
@@ -114,22 +116,28 @@ func checkOne(stream []isa.Inst, wl string, cfg uarch.Config, tr *pipetrace.Trac
 	if err != nil {
 		return err
 	}
-	ltr, lst, err := liteCore.RunLite(stream)
+	gotLite, err := engineFingerprint(liteCore, "lite", stream)
 	if err != nil {
 		return err
 	}
-	gotLite := ooo.TimingFingerprint(ltr, lst)
-	ltr.Release()
 	if gotLite != refTiming {
 		return &Mismatch{Engine: "lite", Workload: wl, Config: cfg, Want: refTiming, Got: gotLite}
 	}
 
-	gotStream, err := streamFingerprint(cfg, stream)
+	streamCore, err := ooo.New(cfg)
+	if err != nil {
+		return err
+	}
+	gotStream, err := engineFingerprint(streamCore, "stream", stream)
 	if err != nil {
 		return err
 	}
 	if gotStream != ref {
 		return &Mismatch{Engine: "stream", Workload: wl, Config: cfg, Want: ref, Got: gotStream}
+	}
+
+	if err := checkReuse(stream, wl, cfg, ref, refTiming); err != nil {
+		return err
 	}
 
 	if withDEG {
@@ -171,13 +179,23 @@ func checkOne(stream []isa.Inst, wl string, cfg uarch.Config, tr *pipetrace.Trac
 	return nil
 }
 
-// streamFingerprint runs the streaming engine and folds its chunks through
-// the chunk-ordered fingerprint. Chunks are retained until the stats (the
-// hash preamble) are known, then released.
-func streamFingerprint(cfg uarch.Config, stream []isa.Inst) (uint64, error) {
-	core, err := ooo.New(cfg)
-	if err != nil {
-		return 0, err
+// engineFingerprint runs one engine on core — "full" (Run), "lite"
+// (RunLite) or "stream" (RunStream) — and returns the fingerprint that
+// engine is compared by: Fingerprint, TimingFingerprint (lite records no
+// annotations) or ChunkedFingerprint. Streamed chunks are retained until
+// the stats (the hash preamble) are known, then released.
+func engineFingerprint(core *ooo.Core, engine string, stream []isa.Inst) (uint64, error) {
+	if engine != "stream" {
+		run, fp := core.Run, ooo.Fingerprint
+		if engine == "lite" {
+			run, fp = core.RunLite, ooo.TimingFingerprint
+		}
+		tr, st, err := run(stream)
+		if err != nil {
+			return 0, err
+		}
+		defer tr.Release()
+		return fp(tr, st), nil
 	}
 	var chunks []*pipetrace.Chunk
 	defer func() {
@@ -199,6 +217,74 @@ func streamFingerprint(cfg uarch.Config, stream []isa.Inst) (uint64, error) {
 			}
 		}
 	}), nil
+}
+
+// reused counts the reuse engine's acquisitions that got back the core it
+// had just released, so the tests can require that the engine really ran
+// on recycled cores (the pool may always hand out a new one instead).
+var reused atomic.Int64
+
+// checkReuse is the reuse engine: cfg runs on cores recycled from other
+// runs and must match the fresh-core references. The chain of runs changes
+// mode lite→full, full→stream and full→lite, and the runs on cfg follow
+// runs on dirtyConfig(cfg) — over the first quarter of the stream, enough
+// to dirty every structure — so the L1 geometry and the issue ring size
+// change under them too.
+func checkReuse(stream []isa.Inst, wl string, cfg uarch.Config, ref, refTiming uint64) error {
+	dirty, dirtStream := dirtyConfig(cfg), stream[:(len(stream)+3)/4]
+	var last *ooo.Core
+	for _, step := range []struct {
+		cfg    uarch.Config
+		engine string
+		check  bool // compared against want; the dirtying runs are not
+		want   uint64
+	}{
+		{dirty, "lite", false, 0},
+		{cfg, "full", true, ref},
+		{cfg, "stream", true, ref},
+		{dirty, "full", false, 0},
+		{cfg, "lite", true, refTiming},
+	} {
+		core, err := ooo.Acquire(step.cfg)
+		if err != nil {
+			return err
+		}
+		if core == last {
+			reused.Add(1)
+		}
+		st := stream
+		if !step.check {
+			st = dirtStream
+		}
+		got, err := engineFingerprint(core, step.engine, st)
+		core.Release()
+		last = core
+		if err != nil {
+			return err
+		}
+		if step.check && got != step.want {
+			return &Mismatch{Engine: "reuse", Workload: wl, Config: cfg, Want: step.want, Got: got}
+		}
+	}
+	return nil
+}
+
+// dirtyConfig is the config the reuse engine interleaves with cfg: both L1s
+// twice cfg's size, and a reorder window at the other end of the space, so
+// the issue ring lands on another power of two (a ROB of 4 with one
+// fetch-queue entry sizes it at its 4096-slot floor, below any cfg with a
+// ROB over 64; a ROB of 512 sizes it at 65536, above any cfg with a ROB
+// of 64 or less).
+func dirtyConfig(cfg uarch.Config) uarch.Config {
+	d := cfg
+	d.ICacheKB *= 2
+	d.DCacheKB *= 2
+	if cfg.ROBEntries > 64 {
+		d.ROBEntries, d.FetchQueueUops = 4, 1
+	} else {
+		d.ROBEntries = 512
+	}
+	return d
 }
 
 // Shrink greedily minimises a failing design point toward the space's

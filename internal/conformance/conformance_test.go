@@ -36,6 +36,7 @@ func TestCorpus(t *testing.T) {
 	if testing.Short() {
 		configs = 40
 	}
+	defer requireReuse(t, reused.Load())
 	gen := NewGen(1)
 	pts := make([]uarch.Point, configs)
 	for i := range pts {
@@ -78,11 +79,22 @@ func TestCorpusEdges(t *testing.T) {
 	if testing.Short() {
 		names = names[:1]
 	}
+	defer requireReuse(t, reused.Load())
 	for _, name := range names {
 		st := stream(t, name, 1000)
 		if err := Check(st, name, cfgs, true); err != nil {
 			t.Fatalf("engines diverged at the capacity floor on %s: %v", name, err)
 		}
+	}
+}
+
+// requireReuse fails the test unless the reuse engine got a recycled core
+// back from ooo.Acquire since the counter read before: a pool that only
+// ever handed out new cores would leave that engine checking nothing.
+func requireReuse(t testing.TB, before int64) {
+	t.Helper()
+	if !t.Failed() && reused.Load() == before {
+		t.Fatal("the reuse engine never ran on a recycled core")
 	}
 }
 
@@ -246,6 +258,7 @@ func FuzzConformance(f *testing.F) {
 	f.Add(int64(1234567))
 	st := stream(f, "462.libquantum", 600)
 	f.Fuzz(func(t *testing.T, seed int64) {
+		defer requireReuse(t, reused.Load())
 		gen := NewGen(seed)
 		cfgs := []uarch.Config{gen.Config(), gen.Config(), gen.Config()}
 		if err := Check(st, "462.libquantum", cfgs, seed%2 == 0); err != nil {

@@ -70,16 +70,45 @@ func TestCheckOneDetectsDivergence(t *testing.T) {
 }
 
 // TestStreamFingerprintErrors: operational failures of the streaming
-// engine propagate instead of producing a bogus hash.
+// engine (and of the others) propagate instead of producing a bogus hash.
 func TestStreamFingerprintErrors(t *testing.T) {
-	ref := uarch.Baseline()
-	if _, err := streamFingerprint(ref, nil); err == nil {
-		t.Fatal("empty stream accepted")
+	for _, engine := range []string{"stream", "full", "lite"} {
+		core, err := ooo.New(uarch.Baseline())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := engineFingerprint(core, engine, nil); err == nil {
+			t.Fatalf("%s: empty stream accepted", engine)
+		}
 	}
-	bad := ref
+	bad := uarch.Baseline()
 	bad.IntRF = 2
-	if _, err := streamFingerprint(bad, stream(t, "458.sjeng", 200)); err == nil {
-		t.Fatal("invalid config accepted")
+	if err := checkReuse(stream(t, "458.sjeng", 200), "458.sjeng", bad, 1, 1); err == nil {
+		t.Fatal("reuse engine accepted an invalid config")
+	}
+}
+
+// TestReuseEngineDetectsDivergence: the reuse engine compares its runs
+// against the references it is given and names itself when one differs.
+func TestReuseEngineDetectsDivergence(t *testing.T) {
+	cfg := uarch.Baseline()
+	st := stream(t, "458.sjeng", 300)
+	core, err := ooo.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, refSt, err := core.Run(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, refTiming := ooo.Fingerprint(tr, refSt), ooo.TimingFingerprint(tr, refSt)
+	tr.Release()
+	if err := checkReuse(st, "wl", cfg, ref, refTiming); err != nil {
+		t.Fatalf("agreeing reuse runs rejected: %v", err)
+	}
+	var m *Mismatch
+	if err := checkReuse(st, "wl", cfg, ref, refTiming+1); !errors.As(err, &m) || m.Engine != "reuse" {
+		t.Fatalf("divergent reference not caught by the reuse engine: %v", err)
 	}
 }
 

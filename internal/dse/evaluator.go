@@ -847,10 +847,13 @@ func (ev *Evaluator) simWorkload(cfg uarch.Config, wl workload.Profile, traceLen
 		// A timed-out attempt's late trace has no receiver; recycle it.
 		func(o simOutcome) { o.tr.Release() },
 		func() (simOutcome, error) {
-			core, err := ooo.New(cfg)
+			// The attempt owns its core: a timed-out attempt that is
+			// abandoned still running releases its own, never the retry's.
+			core, err := ooo.Acquire(cfg)
 			if err != nil {
 				return simOutcome{}, err
 			}
+			defer core.Release()
 			// Probe-lite: without bottleneck analysis downstream, nothing reads
 			// the DEG annotations, so skip recording them. Stamps and Stats are
 			// bit-identical either way (pinned by ooo's parity tests).
@@ -1041,10 +1044,11 @@ func (ev *Evaluator) runStreamed(cfg uarch.Config, wl workload.Profile, stream [
 		return streamOutcome{}, err
 	}
 	defer sa.Close() // idempotent; pairs with Finish on the success path
-	core, err := ooo.New(cfg)
+	core, err := ooo.Acquire(cfg)
 	if err != nil {
 		return streamOutcome{}, err
 	}
+	defer core.Release()
 	chunkSize := ev.DEGChunk
 	if chunkSize <= 0 {
 		chunkSize = ooo.DefaultChunkSize

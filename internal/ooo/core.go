@@ -2,6 +2,7 @@ package ooo
 
 import (
 	"fmt"
+	"sync"
 
 	"archexplorer/internal/bpred"
 	"archexplorer/internal/cache"
@@ -103,25 +104,25 @@ func (s *Stats) MispredictRate() float64 {
 // Core simulates one design point.
 type Core struct {
 	cfg  uarch.Config
-	pred *bpred.Predictor
-	hier *cache.Hierarchy
+	pred bpred.Predictor
+	hier cache.Hierarchy
 
 	// Program-order stage trackers.
-	fetchBW, decodeBW, renameBW, dispatchBW, commitBW *inorderBW
-	issueBW                                           *bwRing
+	fetchBW, decodeBW, renameBW, dispatchBW, commitBW inorderBW
+	issueBW                                           bwRing
 
 	// Back-end capacity pools of the run's mode (setMode). Full mode
 	// records a stalling pool's popped owner, so it replays heap order
 	// exactly; lite mode and the fetch queue read only popped times, so
 	// they use sorted rings (see capPool, ringPool).
-	heaps *pools[capPool]
-	rings *pools[ringPool]
+	heaps pools[capPool]
+	rings pools[ringPool]
 	fq    ringPool
 
 	// Execution units, indexed densely by uarch.Resource (only the four FU
 	// classes are populated; a map here would hash on every issue).
-	fus   [uarch.NumResources]*unitPool
-	ports *unitPool
+	fus   [uarch.NumResources]unitPool
+	ports unitPool
 
 	// Register scoreboard: when each architectural register's latest value
 	// is ready and who produces it.
@@ -129,7 +130,7 @@ type Core struct {
 	intProd, fpProd   [isa.NumIntArchRegs]int
 
 	// In-flight store tracking for forwarding: address -> producing store.
-	storeBuf *storeTable
+	storeBuf storeTable
 
 	lastF, lastDC, lastR, lastDP, lastC int64
 
@@ -149,9 +150,11 @@ type Core struct {
 	// Per-run recording state: the arena the current record's annotations
 	// intern into — the whole trace's in Run, the current chunk's in
 	// RunStream — and whether this run elides the DEG-only annotations
-	// (probe-lite), which also selects the ring pools.
+	// (probe-lite), which also selects the ring pools. ran is set by the
+	// first run after a reset, which fixes the mode until the next reset.
 	arena *pipetrace.Arena
 	lite  bool
+	ran   bool
 
 	stats Stats
 }
@@ -160,15 +163,14 @@ type Core struct {
 // by resource (ResROB through ResFpRF).
 type pools[P any] [uarch.ResFpRF + 1]P
 
-func newPools[P any](cfg uarch.Config, mk func(capacity int) P) *pools[P] {
-	return &pools[P]{
-		uarch.ResROB:   mk(cfg.ROBEntries),
-		uarch.ResIQ:    mk(cfg.IQEntries),
-		uarch.ResLQ:    mk(cfg.LQEntries),
-		uarch.ResSQ:    mk(cfg.SQEntries),
-		uarch.ResIntRF: mk(cfg.IntRF - isa.NumIntArchRegs),
-		uarch.ResFpRF:  mk(cfg.FpRF - isa.NumFpArchRegs),
-	}
+// reset resets each pool of the set to its capacity under cfg.
+func (ps *pools[P]) reset(cfg uarch.Config, reset func(p *P, capacity int)) {
+	reset(&ps[uarch.ResROB], cfg.ROBEntries)
+	reset(&ps[uarch.ResIQ], cfg.IQEntries)
+	reset(&ps[uarch.ResLQ], cfg.LQEntries)
+	reset(&ps[uarch.ResSQ], cfg.SQEntries)
+	reset(&ps[uarch.ResIntRF], cfg.IntRF-isa.NumIntArchRegs)
+	reset(&ps[uarch.ResFpRF], cfg.FpRF-isa.NumFpArchRegs)
 }
 
 type storeEntry struct {
@@ -189,43 +191,64 @@ func predConfig(cfg uarch.Config) bpred.Config {
 }
 
 // New builds a core for the given configuration.
-func New(cfg uarch.Config) (*Core, error) {
-	pred, err := bpred.New(predConfig(cfg))
-	if err != nil {
+func New(cfg uarch.Config) (*Core, error) { return new(Core).reset(cfg) }
+
+// corePool recycles released cores (Acquire, Release).
+var corePool sync.Pool
+
+// Acquire returns a core for cfg: a released core reset in place when the
+// pool holds one, else a new one. Either way it simulates exactly like
+// New(cfg); reuse only skips rebuilding the 2 MB L2, the predictor tables
+// and the issue ring.
+func Acquire(cfg uarch.Config) (*Core, error) {
+	if c, ok := corePool.Get().(*Core); ok {
+		return c.reset(cfg)
+	}
+	return New(cfg)
+}
+
+// Release hands the core back for a later Acquire. The caller must not use
+// the core afterwards; the Stats and traces its runs returned stay valid.
+func (c *Core) Release() { corePool.Put(c) }
+
+// reset makes c, in place, the core New(cfg) builds and returns it (nil
+// for an invalid cfg). Each buffer whose size fits is reused; everything
+// else restarts from its zero or initial value, so no state leaks from the
+// previous design point.
+func (c *Core) reset(cfg uarch.Config) (*Core, error) {
+	if err := c.pred.Reset(predConfig(cfg)); err != nil {
 		return nil, err
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	hier, err := cache.NewHierarchy(
+	err := c.hier.Reset(
 		cache.Config{SizeKB: cfg.ICacheKB, Assoc: cfg.ICacheAssoc},
 		cache.Config{SizeKB: cfg.DCacheKB, Assoc: cfg.DCacheAssoc},
 	)
 	if err != nil {
 		return nil, err
 	}
-	c := &Core{
-		cfg:                cfg,
-		pred:               pred,
-		hier:               hier,
-		fetchBW:            newInorderBW(cfg.Width),
-		decodeBW:           newInorderBW(cfg.Width),
-		renameBW:           newInorderBW(cfg.Width),
-		dispatchBW:         newInorderBW(cfg.Width),
-		commitBW:           newInorderBW(cfg.Width),
-		issueBW:            newBWRing(cfg.Width, issueRingSlots(cfg)),
-		fq:                 newRingPool(cfg.FetchQueueUops),
-		ports:              newUnitPool(cfg.RdWrPorts),
-		storeBuf:           newStoreTable(),
+	bw := inorderBW{width: cfg.Width}
+	*c = Core{
+		cfg: cfg, pred: c.pred, hier: c.hier,
+		fetchBW: bw, decodeBW: bw, renameBW: bw, dispatchBW: bw, commitBW: bw,
+		// Reused buffers, reset below; the mode pools reset in setMode.
+		issueBW: c.issueBW, heaps: c.heaps, rings: c.rings, fq: c.fq,
+		fus: c.fus, ports: c.ports, storeBuf: c.storeBuf,
 		refillFrom:         -1,
 		pendingRedirectSeq: -1,
 		groupDrain:         [2]int64{-1, -1},
 		maxGroupSize:       cfg.FetchBufBytes / 4,
 	}
-	c.fus[uarch.ResIntALU] = newUnitPool(cfg.IntALU)
-	c.fus[uarch.ResIntMultDiv] = newUnitPool(cfg.IntMultDiv)
-	c.fus[uarch.ResFpALU] = newUnitPool(cfg.FpALU)
-	c.fus[uarch.ResFpMultDiv] = newUnitPool(cfg.FpMultDiv)
+	c.issueBW.reset(cfg.Width, issueRingSlots(cfg))
+	c.fq.reset(cfg.FetchQueueUops)
+	c.fus[uarch.ResIntALU].reset(cfg.IntALU)
+	c.fus[uarch.ResIntMultDiv].reset(cfg.IntMultDiv)
+	c.fus[uarch.ResFpALU].reset(cfg.FpALU)
+	c.fus[uarch.ResFpMultDiv].reset(cfg.FpMultDiv)
+	c.ports.reset(cfg.RdWrPorts)
+	c.storeBuf.reset()
 	for i := range c.intProd {
 		c.intProd[i] = -1
 		c.fpProd[i] = -1
@@ -264,6 +287,8 @@ func issueRingSlots(cfg uarch.Config) int {
 // contract. The returned trace draws its record storage from a process-
 // wide pool; callers that finish with it may hand it back via
 // (*pipetrace.Trace).Release, and callers that keep it simply never do.
+// The returned Stats is the caller's own copy: later runs on this core, or
+// on a recycled one, do not change it.
 func (c *Core) Run(stream []isa.Inst) (*pipetrace.Trace, *Stats, error) {
 	return c.run(stream, false)
 }
@@ -302,21 +327,26 @@ func (c *Core) run(stream []isa.Inst, lite bool) (*pipetrace.Trace, *Stats, erro
 	c.arena = nil
 	c.finalizeStats(len(stream))
 	tr.Cycles = c.stats.Cycles
-	return tr, &c.stats, nil
+	st := c.stats
+	return tr, &st, nil
 }
 
-// setMode sets the coming run's recording mode and builds that mode's
-// pool set on first use. Pool state carries over between runs, and a ring
-// keeps no owners for a heap to continue from, so a core runs one mode.
+// setMode sets the coming run's recording mode; the first run after a
+// reset resets that mode's pool set. Pool state carries over between runs,
+// and a ring keeps no owners for a heap to continue from, so a core runs
+// one mode until it is reset.
 func (c *Core) setMode(lite bool) error {
-	if (lite && c.heaps != nil) || (!lite && c.rings != nil) {
-		return fmt.Errorf("ooo: core already ran in the other recording mode; run lite and full simulations on separate cores")
+	if c.ran {
+		if lite != c.lite {
+			return fmt.Errorf("ooo: core already ran in the other recording mode; run lite and full simulations on separately acquired cores")
+		}
+		return nil
 	}
-	c.lite = lite
-	if lite && c.rings == nil {
-		c.rings = newPools(c.cfg, newRingPool)
-	} else if !lite && c.heaps == nil {
-		c.heaps = newPools(c.cfg, newCapPool)
+	c.ran, c.lite = true, lite
+	if lite {
+		c.rings.reset(c.cfg, (*ringPool).reset)
+	} else {
+		c.heaps.reset(c.cfg, (*capPool).reset)
 	}
 	return nil
 }
@@ -390,7 +420,7 @@ func (c *Core) fetch(in *isa.Inst, rec *pipetrace.Record) {
 	groupDone := c.groupLeft == 0
 
 	if in.Class == isa.OpBranch {
-		if resolveBranch(c.pred, in) {
+		if resolveBranch(&c.pred, in) {
 			rec.Mispredicted = true
 			// The front end stalls until the branch resolves; the
 			// resolve time is filled in by schedule().
@@ -519,7 +549,7 @@ func (c *Core) schedule(in *isa.Inst, rec *pipetrace.Record) {
 	if !spec.pipelined {
 		occ = spec.lat
 	}
-	fu := c.fus[spec.res]
+	fu := &c.fus[spec.res]
 	fuStart, fuUnit, fuPrev := fu.acquire(base, occ, rec.Seq)
 	if fuStart > base && fuPrev >= 0 && !c.lite {
 		rec.FUProducer = fuPrev

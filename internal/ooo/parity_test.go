@@ -184,9 +184,10 @@ func TestLiteParity(t *testing.T) {
 	}
 }
 
-// TestCoreRunsOneMode pins that a core refuses to switch recording mode:
-// its pools carry state between runs, and the lite rings keep no owners to
-// continue in the full-mode heaps (or the reverse).
+// TestCoreRunsOneMode pins that a core refuses to switch recording mode
+// until it is reset: its pools carry state between runs, and the lite
+// rings keep no owners to continue in the full-mode heaps (or the
+// reverse). A reset core starts over and may run either mode.
 func TestCoreRunsOneMode(t *testing.T) {
 	stream := batchStreamFor(t, "429.mcf")
 	sink := func(c *pipetrace.Chunk) error { c.Release(); return nil }
@@ -205,6 +206,14 @@ func TestCoreRunsOneMode(t *testing.T) {
 	if tr, _, err := full.RunLite(stream[200:300]); err == nil || tr != nil {
 		t.Error("RunLite on a core that ran full mode was accepted")
 	}
+	if _, err := full.reset(uarch.Baseline()); err != nil {
+		t.Fatal(err)
+	}
+	if tr, _, err = full.RunLite(stream[:100]); err != nil {
+		t.Fatalf("RunLite on a reset core that ran full mode: %v", err)
+	}
+	tr.Release()
+
 	lite, err := New(uarch.Baseline())
 	if err != nil {
 		t.Fatal(err)
@@ -218,6 +227,12 @@ func TestCoreRunsOneMode(t *testing.T) {
 	}
 	if _, err := lite.RunStream(stream[100:200], 0, sink); err == nil {
 		t.Error("RunStream on a core that ran lite mode was accepted")
+	}
+	if _, err := lite.reset(tightConfig()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lite.RunStream(stream[:100], 0, sink); err != nil {
+		t.Fatalf("RunStream on a reset core that ran lite mode: %v", err)
 	}
 }
 

@@ -17,6 +17,18 @@ func uarchConfigWithWindow(rob, fq int) uarch.Config {
 	return cfg
 }
 
+// The pools live inside Core and are only ever reset in place; these
+// helpers give the tests fresh ones.
+func newCapPool(capacity int) (p capPool)   { p.reset(capacity); return p }
+func newRingPool(capacity int) (p ringPool) { p.reset(capacity); return p }
+func newUnitPool(n int) *unitPool           { u := new(unitPool); u.reset(n); return u }
+func newStoreTable() *storeTable            { s := new(storeTable); s.reset(); return s }
+func newBWRing(width, slots int) *bwRing {
+	r := new(bwRing)
+	r.reset(width, slots)
+	return r
+}
+
 // refEventHeap is the container/heap shadow: the seed's capPool used the
 // stdlib heap (later transcribed into an inlined eventHeap), and its
 // structure-dependent pop order among equal times is the pinned behaviour.

@@ -61,12 +61,11 @@ type capPool struct {
 	owners   []int   // owners[i] released the entry freeing at times[i]
 }
 
-func newCapPool(capacity int) capPool {
-	return capPool{
-		capacity: capacity,
-		times:    make([]int64, 0, capacity),
-		owners:   make([]int, 0, capacity),
-	}
+// reset empties the pool for the given capacity, keeping its arrays when
+// they are large enough.
+func (p *capPool) reset(capacity int) {
+	p.capacity = capacity
+	p.times, p.owners = zeroed(p.times, capacity)[:0], zeroed(p.owners, capacity)[:0]
 }
 
 // alloc reserves one entry and returns the earliest cycle the entry is
@@ -150,12 +149,13 @@ type ringPool struct {
 	capacity int
 }
 
-func newRingPool(capacity int) ringPool {
+// reset empties the ring for the given capacity.
+func (p *ringPool) reset(capacity int) {
 	size := 1
 	for size < capacity {
 		size <<= 1
 	}
-	return ringPool{times: make([]int64, size), mask: size - 1, capacity: capacity}
+	*p = ringPool{times: zeroed(p.times, size), mask: size - 1, capacity: capacity}
 }
 
 // alloc reserves one entry and returns the earliest cycle it is available
@@ -190,6 +190,17 @@ func (p *ringPool) free(t int64) {
 	p.n++
 }
 
+// zeroed returns s resliced to n zero elements, reallocating only when its
+// capacity is short.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
 // unitPool models a small bank of execution units (ALUs, dividers, cache
 // ports). acquire picks the earliest-free unit, returns when it is free and
 // who used it last, and occupies it for occ cycles starting no earlier than
@@ -212,12 +223,12 @@ type unitPool struct {
 	lastUser []int
 }
 
-func newUnitPool(n int) *unitPool {
-	u := &unitPool{nextFree: make([]int64, n), lastUser: make([]int, n)}
+// reset makes n idle units that nobody has used.
+func (u *unitPool) reset(n int) {
+	u.nextFree, u.lastUser = zeroed(u.nextFree, n), zeroed(u.lastUser, n)
 	for i := range u.lastUser {
 		u.lastUser[i] = -1
 	}
-	return u
 }
 
 // acquire books the earliest-available unit for occ cycles beginning at
@@ -282,17 +293,15 @@ type bwRing struct {
 // big.
 const maxBWRingSlots = 1 << 22
 
-func newBWRing(width int, slots int) *bwRing {
-	size := int64(1)
-	for size < int64(slots) {
+// reset clears the ring at the smallest power of two >= slots, dropping
+// any growth of the previous run.
+func (r *bwRing) reset(width int, slots int) {
+	size := 1
+	for size < slots {
 		size <<= 1
 	}
-	return &bwRing{
-		cycle: make([]int64, size),
-		used:  make([]int32, size),
-		width: int32(width),
-		mask:  size - 1,
-	}
+	r.cycle, r.used = zeroed(r.cycle, size), zeroed(r.used, size)
+	r.width, r.mask, r.grown = int32(width), int64(size-1), 0
 }
 
 // book finds the first cycle >= t with spare bandwidth and consumes a slot.
@@ -352,8 +361,6 @@ type inorderBW struct {
 	used  int
 }
 
-func newInorderBW(width int) *inorderBW { return &inorderBW{width: width} }
-
 // book returns the first cycle >= t with a free slot and consumes it.
 // t must be >= any previously returned cycle minus the stage's reordering
 // window (stages using this helper are strictly in order).
@@ -384,13 +391,14 @@ type storeTable struct {
 	n    int
 }
 
-func newStoreTable() *storeTable {
-	const initSize = 1024
-	return &storeTable{
-		keys: make([]uint64, initSize),
-		vals: make([]storeEntry, initSize),
-		mask: initSize - 1,
+// reset empties the table, keeping its size (at least 1024 slots).
+func (s *storeTable) reset() {
+	if s.keys == nil {
+		const initSize = 1024
+		s.keys, s.vals, s.mask = make([]uint64, initSize), make([]storeEntry, initSize), initSize-1
 	}
+	clear(s.keys)
+	s.n = 0
 }
 
 // hashAddr spreads the aligned-address key over the table (Fibonacci

@@ -81,5 +81,6 @@ func (c *Core) RunStream(stream []isa.Inst, chunkSize int, sink func(*pipetrace.
 		c.arena = nil
 	}
 	c.finalizeStats(len(stream))
-	return &c.stats, nil
+	st := c.stats
+	return &st, nil
 }
